@@ -5,31 +5,26 @@
 //!
 //! Besides the primitive costs, the run measures *whole-structure* rows per scheme:
 //! single-threaded operations on the lock-free hash map under a uniform and under a
-//! Zipfian key distribution (`hashmap_uniform` / `hashmap_zipf`), so the JSON tracks a
-//! structure-level cost next to the primitive costs, and the guard-layer overhead pairs
-//! `list_raw` / `list_guard` and `skiplist_raw` / `skiplist_guard` — the same algorithms
-//! written directly against `RecordManagerThread` (the raw baselines live in this file)
-//! versus the safe `Domain`/`Guard`/`Shield`/`ShieldSet` ports in `lockfree-ds` —
-//! quantifying what the safe API costs (everything stays fully monomorphized, no `dyn`
-//! on the hot path; measured parity per scheme is documented in `DESIGN.md` §5 — the
-//! list pair is within ±8% everywhere, the skip-list pair within ±11% except a
-//! documented residual under the cheap-announce validating schemes).  The external BST,
-//! whose raw implementation was deleted by the port, is tracked as an absolute
-//! per-scheme row (`bst_guard`), and the bag-shaped structures contribute
-//! `queue_guard`/`stack_guard` rows (alternating push/pop, so half the measured
-//! operations exercise the scheme's full retire pipeline — the per-op reclamation cost
-//! no map mix reaches; these rows run `NoPool` + `SystemAllocator`, i.e. every retire
-//! really reaches `free` and every push really reaches `malloc`).  The
+//! Zipfian key distribution (`hashmap_uniform` / `hashmap_zipf`), the safe-API skip list
+//! and external BST as absolute per-scheme costs (`skiplist_guard`, `bst_guard`), and the
+//! guard-overhead pair `list_raw` / `list_guard` — the same Harris–Michael list written
+//! directly against `RecordManagerThread` (the raw baseline lives in this file) versus
+//! the safe `Domain`/`Guard`/`Shield` port in `lockfree-ds`, quantifying what the safe
+//! API costs (everything stays fully monomorphized, no `dyn` on the hot path; measured
+//! parity per scheme is documented in `DESIGN.md` §5).  The bag-shaped structures
+//! contribute `queue_guard`/`stack_guard` rows (alternating push/pop, so half the
+//! measured operations exercise the scheme's full retire pipeline — the per-op
+//! reclamation cost no map mix reaches; these rows run malloc with no pool, i.e. every
+//! retire really reaches `free` and every push really reaches `malloc`).  The
 //! allocation-pipeline comparison adds `list_guard_pagepool`, `queue_guard_pagepool` and
 //! `stack_guard_pagepool`: the same workloads composed with `smr-pagepool` (type-stable
 //! pages + per-thread magazines) instead of malloc, so the JSON tracks what killing
 //! malloc on the retire→free path buys per scheme.
 //!
-//! The eighth scheme, VBR, is only machine-safe over type-stable memory, so *every* VBR
-//! cell runs over the page pool (the other schemes keep their family's default memory
-//! configuration), and its `skiplist_raw` twin is omitted: the raw baseline expresses a
-//! failed protect as a retry under the same pin, which cannot clear VBR staleness (only
-//! the guard layer's typed `Restart` re-pin can).  The `readheavy` family is the
+//! Every row gets its Record Manager composition from the scheme × memory registry
+//! (`smr_workloads::registry`).  The eighth scheme, VBR, is only machine-safe over
+//! type-stable memory, so the registry runs *every* VBR row over the page pool (the other
+//! schemes keep their row's memory configuration).  The `readheavy` family is the
 //! headline announcement-free-read comparison — read-heavy (90/5/5) list and hash-map
 //! rows under uniform and Zipf 0.99 keys, run for EBR and VBR only, both over the page
 //! pool so the allocator cancels out of the ratio being published.
@@ -37,9 +32,7 @@
 //! Every (family × scheme) cell of the matrix runs in its *own child process*
 //! (`BENCH_GROUP=family:scheme`, spawned automatically by the parent run): a fresh heap,
 //! empty page stores and zeroed thread registries per cell, so no row's number depends
-//! on which rows ran before it.  Earlier revisions ran everything in one process and
-//! could only mitigate that bias by careful row ordering; the ordering comments on the
-//! pair benchmarks now matter only for the spawn-impossible in-process fallback.
+//! on the cells that ran before it.  A run whose children cannot be spawned fails.
 //!
 //! Besides the human-readable output, the run writes a machine-readable summary to
 //! `BENCH_reclaimer.json` (override the path with the `BENCH_JSON` environment variable),
@@ -57,22 +50,14 @@ use std::ptr::NonNull;
 use std::sync::Arc;
 
 use criterion::Criterion;
-use debra::{
-    Allocator, CountingSink, Debra, DebraPlus, Pool, Reclaimer, ReclaimerThread, RecordManager,
-};
-use lockfree_ds::{
-    BstNode, ConcurrentMap, ExternalBst, HarrisMichaelList, ListNode, SkipList, SkipNode,
-};
-use smr_alloc::{NoPool, SystemAllocator, ThreadPool};
-use smr_baselines::{ClassicEbr, HazardPointers, NoReclaim, ThreadScanLite};
+use debra::{Allocator, CountingSink, Pool, Reclaimer, ReclaimerThread, RecordManager};
+use lockfree_ds::{BstNode, ConcurrentBag, ConcurrentMap, ListNode, SkipNode};
 use smr_hashmap::{HashMapNode, LockFreeHashMap};
-use smr_ibr::Ibr;
-use smr_pagepool::{PageAllocator, PagePool};
-use smr_queue::{MsQueue, QueueNode, StackNode, TreiberStack};
-use smr_vbr::Vbr;
+use smr_queue::{QueueNode, StackNode};
 use smr_workloads::workload::{
     KeyDistribution, Operation, OperationGenerator, OperationMix, WorkloadConfig,
 };
+use smr_workloads::{AllocatorKind, BagNode, Composition, MapNode, ReclaimerKind};
 
 /// The raw-API Harris–Michael list: the hand-rolled protect/validate/check implementation
 /// that `lockfree_ds::list` used before the guard layer existed, kept here verbatim (in
@@ -377,458 +362,6 @@ mod raw_list {
     }
 }
 
-/// The raw-API lock-free skip list: the hand-rolled slot-indexed protect / `r_protect`
-/// implementation that `lockfree_ds::skiplist` used before the `ShieldSet` port, kept
-/// here (in condensed form) as the `skiplist_raw` baseline the `skiplist_guard` rows are
-/// measured against.
-mod raw_skiplist {
-    use std::ptr::NonNull;
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::Arc;
-
-    use debra::{
-        Allocator, AllocatorThread, Neutralized, Pool, Reclaimer, RecordManager,
-        RecordManagerThread,
-    };
-
-    pub const MAX_HEIGHT: usize = 20;
-    const MARK: usize = 1;
-
-    #[inline]
-    fn ptr_of(word: usize) -> usize {
-        word & !MARK
-    }
-
-    #[inline]
-    fn is_marked(word: usize) -> bool {
-        word & MARK != 0
-    }
-
-    pub struct RawSkipNode<K, V> {
-        key: Option<K>,
-        /// Stored for layout parity with the real node; the benchmark never reads it.
-        #[allow(dead_code)]
-        value: Option<V>,
-        height: usize,
-        next: [AtomicUsize; MAX_HEIGHT],
-    }
-
-    impl<K, V> RawSkipNode<K, V> {
-        fn new(key: Option<K>, value: Option<V>, height: usize) -> Self {
-            RawSkipNode { key, value, height, next: std::array::from_fn(|_| AtomicUsize::new(0)) }
-        }
-    }
-
-    pub struct RawSkipList<K, V, R, P, A>
-    where
-        K: Ord + Clone + Send + Sync + 'static,
-        V: Clone + Send + Sync + 'static,
-        R: Reclaimer<RawSkipNode<K, V>>,
-        P: Pool<RawSkipNode<K, V>>,
-        A: Allocator<RawSkipNode<K, V>>,
-    {
-        head: usize,
-        height_rng: std::sync::atomic::AtomicU64,
-        manager: Arc<RecordManager<RawSkipNode<K, V>, R, P, A>>,
-    }
-
-    pub type RawHandle<K, V, R, P, A> = RecordManagerThread<RawSkipNode<K, V>, R, P, A>;
-
-    struct FindResult {
-        preds: [usize; MAX_HEIGHT],
-        succs: [usize; MAX_HEIGHT],
-        found: usize,
-    }
-
-    impl<K, V, R, P, A> RawSkipList<K, V, R, P, A>
-    where
-        K: Ord + Clone + Send + Sync + 'static,
-        V: Clone + Send + Sync + 'static,
-        R: Reclaimer<RawSkipNode<K, V>>,
-        P: Pool<RawSkipNode<K, V>>,
-        A: Allocator<RawSkipNode<K, V>>,
-    {
-        pub fn new(manager: Arc<RecordManager<RawSkipNode<K, V>, R, P, A>>) -> Self {
-            let mut alloc = manager.teardown_allocator();
-            let head = alloc.allocate(RawSkipNode::new(None, None, MAX_HEIGHT)).as_ptr() as usize;
-            RawSkipList { head, height_rng: std::sync::atomic::AtomicU64::new(0), manager }
-        }
-
-        #[inline]
-        fn node(&self, ptr: usize) -> &RawSkipNode<K, V> {
-            debug_assert!(ptr != 0);
-            // SAFETY: pointers are only dereferenced while protected by the calling
-            // operation (epoch / hazard pointers) or during teardown.
-            unsafe { &*(ptr as *const RawSkipNode<K, V>) }
-        }
-
-        fn key_less(&self, node: usize, key: &K) -> bool {
-            match &self.node(node).key {
-                None => true,
-                Some(k) => k < key,
-            }
-        }
-
-        fn find(
-            &self,
-            handle: &mut RawHandle<K, V, R, P, A>,
-            key: &K,
-        ) -> Result<FindResult, Neutralized> {
-            'retry: loop {
-                handle.check()?;
-                let mut preds = [self.head; MAX_HEIGHT];
-                let mut succs = [0usize; MAX_HEIGHT];
-                let mut pred = self.head;
-                for level in (0..MAX_HEIGHT).rev() {
-                    let mut curr_word = self.node(pred).next[level].load(Ordering::Acquire);
-                    if is_marked(curr_word) {
-                        continue 'retry;
-                    }
-                    loop {
-                        handle.check()?;
-                        let curr = ptr_of(curr_word);
-                        if curr == 0 {
-                            break;
-                        }
-                        let curr_nn =
-                            NonNull::new(curr as *mut RawSkipNode<K, V>).expect("non-null");
-                        let pred_link = &self.node(pred).next[level];
-                        if !handle.protect(1, curr_nn, || pred_link.load(Ordering::SeqCst) == curr)
-                        {
-                            continue 'retry;
-                        }
-                        let curr_ref = self.node(curr);
-                        let next_word = curr_ref.next[level].load(Ordering::Acquire);
-                        if is_marked(next_word) {
-                            match self.node(pred).next[level].compare_exchange(
-                                curr_word,
-                                ptr_of(next_word),
-                                Ordering::AcqRel,
-                                Ordering::Acquire,
-                            ) {
-                                Ok(_) => {
-                                    if level == 0 {
-                                        // SAFETY: unique level-0 unlink winner.
-                                        unsafe { handle.retire(curr_nn) };
-                                    }
-                                    curr_word = ptr_of(next_word);
-                                    continue;
-                                }
-                                Err(_) => continue 'retry,
-                            }
-                        }
-                        if self.key_less(curr, key) {
-                            let _ = handle.protect(0, curr_nn, || true);
-                            pred = curr;
-                            curr_word = next_word;
-                        } else {
-                            break;
-                        }
-                    }
-                    preds[level] = pred;
-                    succs[level] = ptr_of(curr_word);
-                }
-                let candidate = succs[0];
-                let found = if candidate != 0 && self.node(candidate).key.as_ref() == Some(key) {
-                    candidate
-                } else {
-                    0
-                };
-                return Ok(FindResult { preds, succs, found });
-            }
-        }
-
-        /// Deterministic tower heights, identical to the safe port's generator, so the
-        /// raw/guard pair compares identical tower shapes.
-        fn random_height(&self) -> usize {
-            let x = self.height_rng.fetch_add(0x9E37_79B9_7F4A_7C15, Ordering::Relaxed);
-            let mut z = x;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            z ^= z >> 31;
-            1 + (z.trailing_ones() as usize).min(MAX_HEIGHT - 1)
-        }
-
-        fn insert_body(
-            &self,
-            handle: &mut RawHandle<K, V, R, P, A>,
-            key: &K,
-            value: &V,
-            published: &mut Option<(usize, usize)>,
-        ) -> Result<bool, Neutralized> {
-            loop {
-                let r = self.find(handle, key)?;
-                if r.found != 0 {
-                    return Ok(false);
-                }
-                let height = self.random_height();
-                let node = handle.allocate(RawSkipNode::new(
-                    Some(key.clone()),
-                    Some(value.clone()),
-                    height,
-                ));
-                let node_ptr = node.as_ptr() as usize;
-                {
-                    // SAFETY: private until the bottom-level CAS below publishes it.
-                    let node_ref = unsafe { node.as_ref() };
-                    for level in 0..height {
-                        node_ref.next[level].store(r.succs[level], Ordering::Relaxed);
-                    }
-                }
-                if let Err(e) = handle.check() {
-                    // SAFETY: never published.
-                    unsafe { handle.deallocate(node) };
-                    return Err(e);
-                }
-                if self.node(r.preds[0]).next[0]
-                    .compare_exchange(r.succs[0], node_ptr, Ordering::AcqRel, Ordering::Acquire)
-                    .is_err()
-                {
-                    // SAFETY: never published.
-                    unsafe { handle.deallocate(node) };
-                    continue;
-                }
-                handle.r_protect(node);
-                *published = Some((node_ptr, height));
-                self.complete_insert(handle, key, node_ptr, height)?;
-                return Ok(true);
-            }
-        }
-
-        fn complete_insert(
-            &self,
-            handle: &mut RawHandle<K, V, R, P, A>,
-            key: &K,
-            node_ptr: usize,
-            height: usize,
-        ) -> Result<(), Neutralized> {
-            let node_ref = self.node(node_ptr);
-            'levels: for level in 1..height {
-                loop {
-                    let expected = node_ref.next[level].load(Ordering::Acquire);
-                    if is_marked(expected) {
-                        break 'levels;
-                    }
-                    let r2 = self.find(handle, key)?;
-                    if r2.found != node_ptr {
-                        break 'levels;
-                    }
-                    if r2.succs[level] == node_ptr {
-                        continue 'levels;
-                    }
-                    if expected != r2.succs[level]
-                        && node_ref.next[level]
-                            .compare_exchange(
-                                expected,
-                                r2.succs[level],
-                                Ordering::AcqRel,
-                                Ordering::Acquire,
-                            )
-                            .is_err()
-                    {
-                        continue;
-                    }
-                    if self.node(r2.preds[level]).next[level]
-                        .compare_exchange(
-                            r2.succs[level],
-                            node_ptr,
-                            Ordering::AcqRel,
-                            Ordering::Acquire,
-                        )
-                        .is_ok()
-                    {
-                        break;
-                    }
-                }
-            }
-            if is_marked(node_ref.next[0].load(Ordering::Acquire)) {
-                let _ = self.find(handle, key)?;
-            }
-            handle.r_unprotect_all();
-            Ok(())
-        }
-
-        fn remove_body(
-            &self,
-            handle: &mut RawHandle<K, V, R, P, A>,
-            key: &K,
-            decided: &mut bool,
-        ) -> Result<bool, Neutralized> {
-            if *decided {
-                let _ = self.find(handle, key)?;
-                return Ok(true);
-            }
-            let r = self.find(handle, key)?;
-            if r.found == 0 {
-                return Ok(false);
-            }
-            let victim = self.node(r.found);
-            for level in (1..victim.height).rev() {
-                loop {
-                    let w = victim.next[level].load(Ordering::Acquire);
-                    if is_marked(w) {
-                        break;
-                    }
-                    if victim.next[level]
-                        .compare_exchange(w, w | MARK, Ordering::AcqRel, Ordering::Acquire)
-                        .is_ok()
-                    {
-                        break;
-                    }
-                }
-            }
-            loop {
-                let w = victim.next[0].load(Ordering::Acquire);
-                if is_marked(w) {
-                    return Ok(false);
-                }
-                if victim.next[0]
-                    .compare_exchange(w, w | MARK, Ordering::AcqRel, Ordering::Acquire)
-                    .is_ok()
-                {
-                    *decided = true;
-                    let _ = self.find(handle, key)?;
-                    return Ok(true);
-                }
-                handle.check()?;
-            }
-        }
-
-        /// Read-only traversal (does not unlink), mirroring the original `get_body`.
-        fn contains_body(
-            &self,
-            handle: &mut RawHandle<K, V, R, P, A>,
-            key: &K,
-        ) -> Result<bool, Neutralized> {
-            'retry: loop {
-                handle.check()?;
-                let mut pred = self.head;
-                for level in (0..MAX_HEIGHT).rev() {
-                    let mut curr = ptr_of(self.node(pred).next[level].load(Ordering::Acquire));
-                    loop {
-                        handle.check()?;
-                        if curr == 0 {
-                            break;
-                        }
-                        let curr_nn =
-                            NonNull::new(curr as *mut RawSkipNode<K, V>).expect("non-null");
-                        let pred_link = &self.node(pred).next[level];
-                        if !handle.protect(1, curr_nn, || pred_link.load(Ordering::SeqCst) == curr)
-                        {
-                            continue 'retry;
-                        }
-                        let curr_ref = self.node(curr);
-                        if self.key_less(curr, key) {
-                            let _ = handle.protect(0, curr_nn, || true);
-                            pred = curr;
-                            curr = ptr_of(curr_ref.next[level].load(Ordering::Acquire));
-                        } else {
-                            break;
-                        }
-                    }
-                }
-                let candidate = ptr_of(self.node(pred).next[0].load(Ordering::Acquire));
-                if candidate != 0 {
-                    let candidate_nn =
-                        NonNull::new(candidate as *mut RawSkipNode<K, V>).expect("non-null");
-                    let pred_link = &self.node(pred).next[0];
-                    if !handle
-                        .protect(1, candidate_nn, || pred_link.load(Ordering::SeqCst) == candidate)
-                    {
-                        continue 'retry;
-                    }
-                    let node = self.node(candidate);
-                    if node.key.as_ref() == Some(key)
-                        && !is_marked(node.next[0].load(Ordering::Acquire))
-                    {
-                        return Ok(true);
-                    }
-                }
-                return Ok(false);
-            }
-        }
-
-        fn run_op<Out>(
-            &self,
-            handle: &mut RawHandle<K, V, R, P, A>,
-            mut body: impl FnMut(&Self, &mut RawHandle<K, V, R, P, A>) -> Result<Out, Neutralized>,
-        ) -> Out {
-            loop {
-                let _ = handle.leave_qstate();
-                match body(self, handle) {
-                    Ok(out) => {
-                        handle.enter_qstate();
-                        return out;
-                    }
-                    Err(Neutralized) => {
-                        handle.begin_recovery();
-                    }
-                }
-            }
-        }
-
-        pub fn insert(&self, handle: &mut RawHandle<K, V, R, P, A>, key: K, value: V) -> bool {
-            let mut published: Option<(usize, usize)> = None;
-            self.run_op(handle, |this, h| {
-                if let Some((node_ptr, height)) = published {
-                    this.complete_insert(h, &key, node_ptr, height)?;
-                    return Ok(true);
-                }
-                this.insert_body(h, &key, &value, &mut published)
-            })
-        }
-
-        pub fn remove(&self, handle: &mut RawHandle<K, V, R, P, A>, key: &K) -> bool {
-            let mut decided = false;
-            self.run_op(handle, |this, h| this.remove_body(h, key, &mut decided))
-        }
-
-        pub fn contains(&self, handle: &mut RawHandle<K, V, R, P, A>, key: &K) -> bool {
-            self.run_op(handle, |this, h| this.contains_body(h, key))
-        }
-    }
-
-    impl<K, V, R, P, A> Drop for RawSkipList<K, V, R, P, A>
-    where
-        K: Ord + Clone + Send + Sync + 'static,
-        V: Clone + Send + Sync + 'static,
-        R: Reclaimer<RawSkipNode<K, V>>,
-        P: Pool<RawSkipNode<K, V>>,
-        A: Allocator<RawSkipNode<K, V>>,
-    {
-        fn drop(&mut self) {
-            let mut alloc = self.manager.teardown_allocator();
-            let mut curr = self.head;
-            while curr != 0 {
-                let next = ptr_of(self.node(curr).next[0].load(Ordering::Relaxed));
-                // SAFETY: exclusive access during drop.
-                unsafe { alloc.deallocate(NonNull::new_unchecked(curr as *mut RawSkipNode<K, V>)) };
-                curr = next;
-            }
-        }
-    }
-
-    // SAFETY: shared state is atomics only; nodes are Send/Sync when K and V are.
-    unsafe impl<K, V, R, P, A> Send for RawSkipList<K, V, R, P, A>
-    where
-        K: Ord + Clone + Send + Sync + 'static,
-        V: Clone + Send + Sync + 'static,
-        R: Reclaimer<RawSkipNode<K, V>>,
-        P: Pool<RawSkipNode<K, V>>,
-        A: Allocator<RawSkipNode<K, V>>,
-    {
-    }
-    unsafe impl<K, V, R, P, A> Sync for RawSkipList<K, V, R, P, A>
-    where
-        K: Ord + Clone + Send + Sync + 'static,
-        V: Clone + Send + Sync + 'static,
-        R: Reclaimer<RawSkipNode<K, V>>,
-        P: Pool<RawSkipNode<K, V>>,
-        A: Allocator<RawSkipNode<K, V>>,
-    {
-    }
-}
-
 fn bench_scheme<R>(c: &mut Criterion, name: &str)
 where
     R: Reclaimer<u64>,
@@ -887,84 +420,99 @@ where
     });
 }
 
-/// Whole-structure rows: single-threaded hash-map operations under the given key
-/// distribution.  The structure is prefilled to half the key range so every operation
-/// works on realistic chains; removes retire records, so the scheme's whole retire →
-/// reclaim pipeline is in the measured path.
-fn bench_hashmap<R, P, A>(
+/// The primitive rows over `u64` records: `op_boundary` and `protect` for every scheme,
+/// `retire` for the bag- or batch-based epoch schemes.
+struct Prim<'a> {
+    c: &'a mut Criterion,
+    kind: ReclaimerKind,
+}
+
+impl Composition<u64> for Prim<'_> {
+    type Out = ();
+
+    fn run<R: Reclaimer<u64>, P: Pool<u64>, A: Allocator<u64>>(self, _: AllocatorKind) {
+        bench_scheme::<R>(self.c, self.kind.name());
+        if matches!(
+            self.kind,
+            ReclaimerKind::Debra | ReclaimerKind::Ebr | ReclaimerKind::Ibr | ReclaimerKind::Vbr
+        ) {
+            bench_retire::<R>(self.c, self.kind.name());
+        }
+    }
+}
+
+/// Measures row `name/op`: one operation of the pre-generated stream `ops` per iteration.
+fn bench_ops(
     c: &mut Criterion,
     name: &str,
-    mix: OperationMix,
-    distribution: KeyDistribution,
     op: &str,
-    slots: usize,
-) where
-    R: Reclaimer<HashMapNode<u64, u64>>,
-    P: Pool<HashMapNode<u64, u64>>,
-    A: Allocator<HashMapNode<u64, u64>>,
-{
-    type Node = HashMapNode<u64, u64>;
-    let cfg = WorkloadConfig {
-        threads: 1,
-        key_range: 1_024,
-        mix,
-        distribution,
-        ..WorkloadConfig::default()
-    };
-    let manager: Arc<RecordManager<Node, R, P, A>> = Arc::new(RecordManager::new(slots));
-    let map = LockFreeHashMap::with_buckets(Arc::clone(&manager), 64);
-    let mut handle = map.register().expect("register bench thread");
-    let mut gen = OperationGenerator::new(&cfg, 0, 0xB17);
-    let target = (cfg.key_range / 2) as usize;
-    let mut inserted = 0usize;
-    let mut attempts = 0u64;
-    while inserted < target && attempts < cfg.key_range * 8 {
-        if map.insert(&mut handle, gen.next_uniform_key(), attempts) {
-            inserted += 1;
-        }
-        attempts += 1;
-    }
-
-    // Pre-generate the operation stream so the measured path contains only map work:
-    // the Zipf sampler does transcendental math per draw, which would otherwise bias the
-    // uniform-vs-zipf comparison these rows exist to make.
-    let ops: Vec<Operation> = (0..65_536).map(|_| gen.next_op()).collect();
+    ops: &[Operation],
+    mut apply: impl FnMut(Operation) -> bool,
+) {
     let mut i = 0usize;
     c.bench_function(format!("{name}/{op}"), |b| {
         b.iter(|| {
             let next = ops[i & 0xFFFF];
             i += 1;
-            match next {
-                Operation::Insert(k) => map.insert(&mut handle, k, k),
-                Operation::Delete(k) => map.remove(&mut handle, &k),
-                Operation::Search(k) => map.contains(&mut handle, &k),
-            }
+            apply(next)
         })
     });
 }
 
-fn bench_hashmap_both<R, P, A>(c: &mut Criterion, name: &str)
-where
-    R: Reclaimer<HashMapNode<u64, u64>>,
-    P: Pool<HashMapNode<u64, u64>>,
-    A: Allocator<HashMapNode<u64, u64>>,
-{
-    bench_hashmap::<R, P, A>(
-        c,
-        name,
-        OperationMix::UPDATE_HEAVY,
-        KeyDistribution::Uniform,
-        "hashmap_uniform",
-        2,
-    );
-    bench_hashmap::<R, P, A>(
-        c,
-        name,
-        OperationMix::UPDATE_HEAVY,
-        KeyDistribution::ZIPF_DEFAULT,
-        "hashmap_zipf",
-        2,
-    );
+/// Whole-structure rows: single-threaded hash-map operations under the given key
+/// distribution.  The structure is prefilled to half the key range so every operation
+/// works on realistic chains; removes retire records, so the scheme's whole retire →
+/// reclaim pipeline is in the measured path.
+struct HashmapRow<'a> {
+    c: &'a mut Criterion,
+    name: &'a str,
+    op: &'a str,
+    mix: OperationMix,
+    distribution: KeyDistribution,
+    slots: usize,
+}
+
+impl Composition<HashMapNode<u64, u64>> for HashmapRow<'_> {
+    type Out = ();
+
+    fn run<R, P, A>(self, _: AllocatorKind)
+    where
+        R: Reclaimer<HashMapNode<u64, u64>>,
+        P: Pool<HashMapNode<u64, u64>>,
+        A: Allocator<HashMapNode<u64, u64>>,
+    {
+        let HashmapRow { c, name, op, mix, distribution, slots } = self;
+        let cfg = WorkloadConfig {
+            threads: 1,
+            key_range: 1_024,
+            mix,
+            distribution,
+            ..WorkloadConfig::default()
+        };
+        let manager: Arc<RecordManager<_, R, P, A>> = Arc::new(RecordManager::new(slots));
+        let map = LockFreeHashMap::with_buckets(manager, 64);
+        let mut handle = map.register().expect("register bench thread");
+        let mut gen = OperationGenerator::new(&cfg, 0, 0xB17);
+        let target = (cfg.key_range / 2) as usize;
+        let mut inserted = 0usize;
+        let mut attempts = 0u64;
+        while inserted < target && attempts < cfg.key_range * 8 {
+            if map.insert(&mut handle, gen.next_uniform_key(), attempts) {
+                inserted += 1;
+            }
+            attempts += 1;
+        }
+
+        // Pre-generate the operation stream so the measured path contains only map work:
+        // the Zipf sampler does transcendental math per draw, which would otherwise bias
+        // the uniform-vs-zipf comparison these rows exist to make.
+        let ops: Vec<Operation> = (0..65_536).map(|_| gen.next_op()).collect();
+        bench_ops(c, name, op, &ops, |next| match next {
+            Operation::Insert(k) => map.insert(&mut handle, k, k),
+            Operation::Delete(k) => map.remove(&mut handle, &k),
+            Operation::Search(k) => map.contains(&mut handle, &k),
+        });
+    }
 }
 
 /// Key range for the guard-overhead list rows: small enough that one operation is a short
@@ -972,147 +520,6 @@ where
 /// overhead — are *not* drowned out by traversal memory stalls).
 const LIST_KEY_RANGE: u64 = 256;
 
-/// Shared workload for the `list_raw`/`list_guard` pair: the list is prefilled with
-/// `key_range * 4` uniform insert attempts — i.e. to *nearly the full* key range
-/// (~98% occupancy), so the timed phase is remove-heavy churn over long traversals —
-/// then driven by a pre-generated uniform operation stream (identical seed for both
-/// rows, so the raw/guard comparison sees byte-identical workloads).
-fn list_workload() -> (WorkloadConfig, Vec<Operation>) {
-    let cfg = WorkloadConfig {
-        threads: 1,
-        key_range: LIST_KEY_RANGE,
-        distribution: KeyDistribution::Uniform,
-        ..WorkloadConfig::default()
-    };
-    let mut gen = OperationGenerator::new(&cfg, 0, 0x5EED);
-    let ops: Vec<Operation> = (0..65_536).map(|_| gen.next_op()).collect();
-    (cfg, ops)
-}
-
-/// `list_raw`: the hand-rolled Harris–Michael list (module [`raw_list`]) driven directly
-/// through `RecordManagerThread` — the pre-guard-layer baseline.  Generic over the
-/// memory configuration and the workload so the same baseline also produces VBR's rows
-/// (which must run the type-stable page pool) and the read-heavy comparison rows.
-fn bench_list_raw_as<R, P, A>(
-    c: &mut Criterion,
-    name: &str,
-    op: &str,
-    cfg: &WorkloadConfig,
-    ops: &[Operation],
-    slots: usize,
-) where
-    R: Reclaimer<raw_list::RawNode<u64, u64>>,
-    P: Pool<raw_list::RawNode<u64, u64>>,
-    A: Allocator<raw_list::RawNode<u64, u64>>,
-{
-    type Node = raw_list::RawNode<u64, u64>;
-    let manager: Arc<RecordManager<Node, R, P, A>> = Arc::new(RecordManager::new(slots));
-    let list = raw_list::RawList::new(Arc::clone(&manager));
-    let mut handle = manager.register(0).expect("register bench thread");
-    let mut gen = OperationGenerator::new(cfg, 0, 0xB17);
-    for _ in 0..cfg.key_range * 4 {
-        let _ = list.insert(&mut handle, gen.next_uniform_key(), 0);
-    }
-
-    let mut i = 0usize;
-    c.bench_function(format!("{name}/{op}"), |b| {
-        b.iter(|| {
-            let next = ops[i & 0xFFFF];
-            i += 1;
-            match next {
-                Operation::Insert(k) => list.insert(&mut handle, k, k),
-                Operation::Delete(k) => list.remove(&mut handle, &k),
-                Operation::Search(k) => list.contains(&mut handle, &k),
-            }
-        })
-    });
-}
-
-/// `list_guard`: the safe-API port in `lockfree-ds`, same algorithm, same workload.
-/// Generic over the memory configuration so the same workload also produces the
-/// `list_guard_pagepool` row (the type-stable page allocator instead of malloc).
-fn bench_list_guard_as<R, P, A>(
-    c: &mut Criterion,
-    name: &str,
-    op: &str,
-    cfg: &WorkloadConfig,
-    ops: &[Operation],
-    slots: usize,
-) where
-    R: Reclaimer<ListNode<u64, u64>>,
-    P: Pool<ListNode<u64, u64>>,
-    A: Allocator<ListNode<u64, u64>>,
-{
-    type Node = ListNode<u64, u64>;
-    let manager: Arc<RecordManager<Node, R, P, A>> = Arc::new(RecordManager::new(slots));
-    let list = HarrisMichaelList::new(Arc::clone(&manager));
-    let mut handle = list.register().expect("lease bench thread slot");
-    let mut gen = OperationGenerator::new(cfg, 0, 0xB17);
-    for _ in 0..cfg.key_range * 4 {
-        let _ = list.insert(&mut handle, gen.next_uniform_key(), 0);
-    }
-
-    let mut i = 0usize;
-    c.bench_function(format!("{name}/{op}"), |b| {
-        b.iter(|| {
-            let next = ops[i & 0xFFFF];
-            i += 1;
-            match next {
-                Operation::Insert(k) => list.insert(&mut handle, k, k),
-                Operation::Delete(k) => list.remove(&mut handle, &k),
-                Operation::Search(k) => list.contains(&mut handle, &k),
-            }
-        })
-    });
-}
-
-/// `list_guard_pagepool`: the same list workload composed with the page-pool allocation
-/// pipeline (`smr-pagepool`) instead of malloc — compared against `list_guard` it shows
-/// what type-stable slot recycling buys a traversal-heavy structure.
-fn bench_list_guard_pagepool<R>(c: &mut Criterion, name: &str)
-where
-    R: Reclaimer<ListNode<u64, u64>>,
-{
-    type Node = ListNode<u64, u64>;
-    let (cfg, ops) = list_workload();
-    bench_list_guard_as::<R, PagePool<Node>, PageAllocator<Node>>(
-        c,
-        name,
-        "list_guard_pagepool",
-        &cfg,
-        &ops,
-        2,
-    );
-}
-
-/// Measures the pair in *both orders*.  Schemes that never free (None) grow the heap
-/// monotonically over the process lifetime, so whichever row is measured later sees a
-/// colder, wider heap; running raw→guard and then guard→raw and letting the JSON writer
-/// keep the best run per row removes that ordering bias from the comparison.
-fn bench_list_pair<RRaw, PRaw, ARaw, RGuard, PGuard, AGuard>(c: &mut Criterion, name: &str)
-where
-    RRaw: Reclaimer<raw_list::RawNode<u64, u64>>,
-    PRaw: Pool<raw_list::RawNode<u64, u64>>,
-    ARaw: Allocator<raw_list::RawNode<u64, u64>>,
-    RGuard: Reclaimer<ListNode<u64, u64>>,
-    PGuard: Pool<ListNode<u64, u64>>,
-    AGuard: Allocator<ListNode<u64, u64>>,
-{
-    let (cfg, ops) = list_workload();
-    bench_list_raw_as::<RRaw, PRaw, ARaw>(c, name, "list_raw", &cfg, &ops, 2);
-    bench_list_guard_as::<RGuard, PGuard, AGuard>(c, name, "list_guard", &cfg, &ops, 2);
-    bench_list_guard_as::<RGuard, PGuard, AGuard>(c, name, "list_guard", &cfg, &ops, 2);
-    bench_list_raw_as::<RRaw, PRaw, ARaw>(c, name, "list_raw", &cfg, &ops, 2);
-}
-
-/// Shared workload for the read-heavy (90% search / 5% insert / 5% delete) comparison
-/// rows — the announcement-free-read claim, measured.  Unlike `list_workload` the list
-/// stays near half occupancy (the prefill in the bench functions is shared), but the
-/// operation stream is search-dominated, so the per-operation reader cost — EBR's
-/// epoch announcement + full-registry scan versus VBR's single clock load — is the
-/// measured quantity.  Every row of this family runs over the page pool (VBR's
-/// requirement), so the allocator cancels out of the EBR-vs-VBR ratio, and the
-/// registry is sized like a real worker fleet ([`READHEAVY_SLOTS`]).
 /// Registry capacity for the read-heavy comparison rows.  The other families register
 /// two slots — classic EBR's best case, since its pin scans *every* announcement slot
 /// on *every* operation.  A service actually serving read-heavy traffic registers one
@@ -1134,147 +541,93 @@ const READHEAVY_SLOTS: usize = 16;
 /// port's known tax.)
 const READHEAVY_KEY_RANGE: u64 = 64;
 
-fn readheavy_list_workload(distribution: KeyDistribution) -> (WorkloadConfig, Vec<Operation>) {
-    let cfg = WorkloadConfig {
-        threads: 1,
-        key_range: READHEAVY_KEY_RANGE,
-        mix: OperationMix::READ_MOSTLY,
-        distribution,
-        ..WorkloadConfig::default()
-    };
-    let mut gen = OperationGenerator::new(&cfg, 0, 0x5EED);
-    let ops: Vec<Operation> = (0..65_536).map(|_| gen.next_op()).collect();
-    (cfg, ops)
-}
-
-/// Key range for the guard-overhead skip list / BST rows: larger than the list's (the
-/// structures are logarithmic, so per-operation fixed costs need more elements to stay
-/// visible without the traversal dominating).
+/// Key range for the skip list / BST rows: larger than the list's (the structures are
+/// logarithmic, so per-operation fixed costs need more elements to stay visible without
+/// the traversal dominating).
 const TREE_KEY_RANGE: u64 = 1_024;
 
-/// Shared workload for the `skiplist_raw`/`skiplist_guard`/`bst_guard` rows: identical
-/// seed and operation stream for every row, prefilled by the same uniform insert pass.
-fn tree_workload() -> (WorkloadConfig, Vec<Operation>) {
-    let cfg = WorkloadConfig {
-        threads: 1,
-        key_range: TREE_KEY_RANGE,
-        distribution: KeyDistribution::Uniform,
-        ..WorkloadConfig::default()
-    };
+/// A single-threaded workload shared by every row that runs it: the same seed gives the
+/// same pre-generated operation stream, so twin rows (`list_raw` / `list_guard`) see
+/// byte-identical workloads.
+fn workload(
+    key_range: u64,
+    mix: OperationMix,
+    distribution: KeyDistribution,
+) -> (WorkloadConfig, Vec<Operation>) {
+    let cfg =
+        WorkloadConfig { threads: 1, key_range, mix, distribution, ..WorkloadConfig::default() };
     let mut gen = OperationGenerator::new(&cfg, 0, 0x5EED);
     let ops: Vec<Operation> = (0..65_536).map(|_| gen.next_op()).collect();
     (cfg, ops)
 }
 
-/// `skiplist_raw`: the hand-rolled skip list (module [`raw_skiplist`]) driven directly
-/// through `RecordManagerThread` — the pre-`ShieldSet` baseline.
-fn bench_skiplist_raw<R, P, A>(c: &mut Criterion, name: &str)
-where
-    R: Reclaimer<raw_skiplist::RawSkipNode<u64, u64>>,
-    P: Pool<raw_skiplist::RawSkipNode<u64, u64>>,
-    A: Allocator<raw_skiplist::RawSkipNode<u64, u64>>,
-{
-    type Node = raw_skiplist::RawSkipNode<u64, u64>;
-    let (cfg, ops) = tree_workload();
-    let manager: Arc<RecordManager<Node, R, P, A>> = Arc::new(RecordManager::new(2));
-    let list = raw_skiplist::RawSkipList::new(Arc::clone(&manager));
-    let mut handle = manager.register(0).expect("register bench thread");
-    let mut gen = OperationGenerator::new(&cfg, 0, 0xB17);
-    for _ in 0..cfg.key_range * 4 {
-        let _ = list.insert(&mut handle, gen.next_uniform_key(), 0);
-    }
-
-    let mut i = 0usize;
-    c.bench_function(format!("{name}/skiplist_raw"), |b| {
-        b.iter(|| {
-            let next = ops[i & 0xFFFF];
-            i += 1;
-            match next {
-                Operation::Insert(k) => list.insert(&mut handle, k, k),
-                Operation::Delete(k) => list.remove(&mut handle, &k),
-                Operation::Search(k) => list.contains(&mut handle, &k),
-            }
-        })
-    });
+/// A row over a shared [`workload`] on a safe-API map structure (`list_guard`,
+/// `skiplist_guard`, `bst_guard`, ...).  The structure is prefilled with
+/// `key_range * 4` uniform insert attempts — i.e. to *nearly the full* key range (~98%
+/// occupancy), so the timed phase is remove-heavy churn over long traversals.
+struct MapRow<'a> {
+    c: &'a mut Criterion,
+    name: &'a str,
+    op: &'a str,
+    cfg: &'a WorkloadConfig,
+    ops: &'a [Operation],
+    slots: usize,
 }
 
-/// `skiplist_guard`: the safe-API port in `lockfree-ds`, same algorithm, same workload.
-fn bench_skiplist_guard<R, P, A>(c: &mut Criterion, name: &str)
-where
-    R: Reclaimer<SkipNode<u64, u64>>,
-    P: Pool<SkipNode<u64, u64>>,
-    A: Allocator<SkipNode<u64, u64>>,
-{
-    type Node = SkipNode<u64, u64>;
-    let (cfg, ops) = tree_workload();
-    let manager: Arc<RecordManager<Node, R, P, A>> = Arc::new(RecordManager::new(2));
-    let list = SkipList::new(Arc::clone(&manager));
-    let mut handle = list.register().expect("lease bench thread slot");
-    let mut gen = OperationGenerator::new(&cfg, 0, 0xB17);
-    for _ in 0..cfg.key_range * 4 {
-        let _ = list.insert(&mut handle, gen.next_uniform_key(), 0);
-    }
-
-    let mut i = 0usize;
-    c.bench_function(format!("{name}/skiplist_guard"), |b| {
-        b.iter(|| {
-            let next = ops[i & 0xFFFF];
-            i += 1;
-            match next {
-                Operation::Insert(k) => list.insert(&mut handle, k, k),
-                Operation::Delete(k) => list.remove(&mut handle, &k),
-                Operation::Search(k) => list.contains(&mut handle, &k),
-            }
-        })
-    });
+fn map_row<'a>(
+    c: &'a mut Criterion,
+    name: &'a str,
+    op: &'a str,
+    (cfg, ops): &'a (WorkloadConfig, Vec<Operation>),
+    slots: usize,
+) -> MapRow<'a> {
+    MapRow { c, name, op, cfg, ops, slots }
 }
 
-/// Both orders, best run kept — see [`bench_list_pair`].
-fn bench_skiplist_pair<RRaw, PRaw, ARaw, RGuard, PGuard, AGuard>(c: &mut Criterion, name: &str)
-where
-    RRaw: Reclaimer<raw_skiplist::RawSkipNode<u64, u64>>,
-    PRaw: Pool<raw_skiplist::RawSkipNode<u64, u64>>,
-    ARaw: Allocator<raw_skiplist::RawSkipNode<u64, u64>>,
-    RGuard: Reclaimer<SkipNode<u64, u64>>,
-    PGuard: Pool<SkipNode<u64, u64>>,
-    AGuard: Allocator<SkipNode<u64, u64>>,
-{
-    bench_skiplist_raw::<RRaw, PRaw, ARaw>(c, name);
-    bench_skiplist_guard::<RGuard, PGuard, AGuard>(c, name);
-    bench_skiplist_guard::<RGuard, PGuard, AGuard>(c, name);
-    bench_skiplist_raw::<RRaw, PRaw, ARaw>(c, name);
+impl<T: MapNode> Composition<T> for MapRow<'_> {
+    type Out = ();
+
+    fn run<R: Reclaimer<T>, P: Pool<T>, A: Allocator<T>>(self, _: AllocatorKind) {
+        let MapRow { c, name, op, cfg, ops, slots } = self;
+        let map = T::build::<R, P, A>(Arc::new(RecordManager::new(slots)));
+        let mut handle = map.register().expect("lease bench thread slot");
+        let mut gen = OperationGenerator::new(cfg, 0, 0xB17);
+        for _ in 0..cfg.key_range * 4 {
+            let _ = map.insert(&mut handle, gen.next_uniform_key(), 0);
+        }
+        bench_ops(c, name, op, ops, |next| match next {
+            Operation::Insert(k) => map.insert(&mut handle, k, k),
+            Operation::Delete(k) => map.remove(&mut handle, &k),
+            Operation::Search(k) => map.contains(&mut handle, &k),
+        });
+    }
 }
 
-/// `bst_guard`: the external BST on the safe API (no raw twin is kept for the tree — the
-/// row tracks the structure's absolute cost per scheme over time).
-fn bench_bst_guard<R, P, A>(c: &mut Criterion, name: &str)
-where
-    R: Reclaimer<BstNode<u64, u64>>,
-    P: Pool<BstNode<u64, u64>>,
-    A: Allocator<BstNode<u64, u64>>,
-{
-    type Node = BstNode<u64, u64>;
-    let (cfg, ops) = tree_workload();
-    let manager: Arc<RecordManager<Node, R, P, A>> = Arc::new(RecordManager::new(2));
-    let bst = ExternalBst::new(Arc::clone(&manager));
-    let mut handle = bst.register().expect("lease bench thread slot");
-    let mut gen = OperationGenerator::new(&cfg, 0, 0xB17);
-    for _ in 0..cfg.key_range * 4 {
-        let _ = bst.insert(&mut handle, gen.next_uniform_key(), 0);
-    }
+/// `list_raw`: the hand-rolled list of [`raw_list`] driven directly through
+/// `RecordManagerThread` — the pre-guard-layer baseline — over the same workload and
+/// prefill as its `list_guard` twin.
+struct RawListRow<'a>(MapRow<'a>);
 
-    let mut i = 0usize;
-    c.bench_function(format!("{name}/bst_guard"), |b| {
-        b.iter(|| {
-            let next = ops[i & 0xFFFF];
-            i += 1;
-            match next {
-                Operation::Insert(k) => bst.insert(&mut handle, k, k),
-                Operation::Delete(k) => bst.remove(&mut handle, &k),
-                Operation::Search(k) => bst.contains(&mut handle, &k),
-            }
-        })
-    });
+type RawNode = raw_list::RawNode<u64, u64>;
+
+impl Composition<RawNode> for RawListRow<'_> {
+    type Out = ();
+
+    fn run<R: Reclaimer<RawNode>, P: Pool<RawNode>, A: Allocator<RawNode>>(self, _: AllocatorKind) {
+        let MapRow { c, name, op, cfg, ops, slots } = self.0;
+        let manager: Arc<RecordManager<RawNode, R, P, A>> = Arc::new(RecordManager::new(slots));
+        let list = raw_list::RawList::new(Arc::clone(&manager));
+        let mut handle = manager.register(0).expect("register bench thread");
+        let mut gen = OperationGenerator::new(cfg, 0, 0xB17);
+        for _ in 0..cfg.key_range * 4 {
+            let _ = list.insert(&mut handle, gen.next_uniform_key(), 0);
+        }
+        bench_ops(c, name, op, ops, |next| match next {
+            Operation::Insert(k) => list.insert(&mut handle, k, k),
+            Operation::Delete(k) => list.remove(&mut handle, &k),
+            Operation::Search(k) => list.contains(&mut handle, &k),
+        });
+    }
 }
 
 /// Number of values in the bag before (and, in expectation, throughout) the measured
@@ -1285,321 +638,150 @@ const BAG_PREFILL: u64 = 256;
 /// safe-API structures.  Every second operation is a successful pop and therefore a
 /// *retire*, so — unlike any map row at any mix — half the measured operations run the
 /// scheme's full retire pipeline: this is the per-operation reclamation cost the
-/// producer/consumer workloads stress at scale.
-fn bench_bag<H>(
-    c: &mut Criterion,
-    name: &str,
-    op: &str,
-    mut push: impl FnMut(&mut H, u64),
-    mut pop: impl FnMut(&mut H) -> Option<u64>,
-    handle: &mut H,
-) {
-    for i in 0..BAG_PREFILL {
-        push(handle, i);
+/// producer/consumer workloads stress at scale.  Every push allocates, so over the page
+/// pool (`_pagepool` rows) these rows are where the allocation pipeline dominates.
+struct BagRow<'a> {
+    c: &'a mut Criterion,
+    name: &'a str,
+    op: &'a str,
+}
+
+impl<T: BagNode> Composition<T> for BagRow<'_> {
+    type Out = ();
+
+    fn run<R: Reclaimer<T>, P: Pool<T>, A: Allocator<T>>(self, _: AllocatorKind) {
+        let bag = T::build::<R, P, A>(Arc::new(RecordManager::new(2)));
+        let mut handle = bag.register().expect("lease bench thread slot");
+        for i in 0..BAG_PREFILL {
+            bag.push(&mut handle, i);
+        }
+        let mut i = 0u64;
+        self.c.bench_function(format!("{}/{}", self.name, self.op), |b| {
+            b.iter(|| {
+                i += 1;
+                if i & 1 == 0 {
+                    bag.push(&mut handle, i);
+                    true
+                } else {
+                    criterion::black_box(bag.pop(&mut handle)).is_some()
+                }
+            })
+        });
     }
-    let mut i = 0u64;
-    c.bench_function(format!("{name}/{op}"), |b| {
-        b.iter(|| {
-            i += 1;
-            if i & 1 == 0 {
-                push(handle, i);
-                true
-            } else {
-                criterion::black_box(pop(handle)).is_some()
-            }
-        })
-    });
 }
-
-/// Generic over the memory configuration so the same alternating-push/pop workload also
-/// produces the `queue_guard_pagepool` row: every pop retires a node and every push
-/// allocates one, so these rows are where the allocation pipeline (malloc vs the
-/// type-stable page pool) dominates the measurement.
-fn bench_queue_guard_as<R, P, A>(c: &mut Criterion, name: &str, op: &str)
-where
-    R: Reclaimer<QueueNode<u64>>,
-    P: Pool<QueueNode<u64>>,
-    A: Allocator<QueueNode<u64>>,
-{
-    type Node = QueueNode<u64>;
-    let manager: Arc<RecordManager<Node, R, P, A>> = Arc::new(RecordManager::new(2));
-    let queue = MsQueue::new(Arc::clone(&manager));
-    let mut handle = queue.register().expect("lease bench thread slot");
-    bench_bag(
-        c,
-        name,
-        op,
-        |h, v| lockfree_ds::ConcurrentBag::push(&queue, h, v),
-        |h| lockfree_ds::ConcurrentBag::pop(&queue, h),
-        &mut handle,
-    );
-}
-
-fn bench_stack_guard_as<R, P, A>(c: &mut Criterion, name: &str, op: &str)
-where
-    R: Reclaimer<StackNode<u64>>,
-    P: Pool<StackNode<u64>>,
-    A: Allocator<StackNode<u64>>,
-{
-    type Node = StackNode<u64>;
-    let manager: Arc<RecordManager<Node, R, P, A>> = Arc::new(RecordManager::new(2));
-    let stack = TreiberStack::new(Arc::clone(&manager));
-    let mut handle = stack.register().expect("lease bench thread slot");
-    bench_bag(
-        c,
-        name,
-        op,
-        |h, v| lockfree_ds::ConcurrentBag::push(&stack, h, v),
-        |h| lockfree_ds::ConcurrentBag::pop(&stack, h),
-        &mut handle,
-    );
-}
-
-fn bench_bags_pagepool<R1, R2>(c: &mut Criterion, name: &str)
-where
-    R1: Reclaimer<QueueNode<u64>>,
-    R2: Reclaimer<StackNode<u64>>,
-{
-    type QNode = QueueNode<u64>;
-    type SNode = StackNode<u64>;
-    bench_queue_guard_as::<R1, PagePool<QNode>, PageAllocator<QNode>>(
-        c,
-        name,
-        "queue_guard_pagepool",
-    );
-    bench_stack_guard_as::<R2, PagePool<SNode>, PageAllocator<SNode>>(
-        c,
-        name,
-        "stack_guard_pagepool",
-    );
-}
-
-/// The eight schemes, in the order the rows appear in the JSON.
-const SCHEMES: [&str; 8] = ["None", "DEBRA", "DEBRA+", "HP", "EBR", "ThreadScan", "IBR", "VBR"];
 
 /// Benchmark families, each of which runs in its *own child process* per scheme (see
-/// `main`).  Ordering within the list only matters for the in-process fallback, where it
-/// preserves the old young-heap-first rationale: the raw/guard comparison pairs run
-/// before the leak-heavy absolute rows.  The `readheavy` family runs only for EBR and
-/// VBR (see [`cell_exists`]): it is the headline announcement-free-read comparison, both
-/// schemes measured over the page pool so the allocator cancels out of the ratio.
-const FAMILIES: [&str; 9] =
-    ["list", "list_pp", "skiplist", "bst", "prim", "hashmap", "bags", "bags_pp", "readheavy"];
+/// `main`).  The `readheavy` family runs only for EBR and VBR (see [`cell_exists`]).
+const FAMILIES: [&str; 7] = ["list", "skiplist", "bst", "prim", "hashmap", "bags", "readheavy"];
 
 /// Whether a (family × scheme) cell is part of the matrix.  The read-heavy family is
 /// deliberately the EBR-vs-VBR pair only.
-fn cell_exists(family: &str, scheme: &str) -> bool {
-    family != "readheavy" || matches!(scheme, "EBR" | "VBR")
+fn cell_exists(family: &str, kind: ReclaimerKind) -> bool {
+    family != "readheavy" || matches!(kind, ReclaimerKind::Ebr | ReclaimerKind::Vbr)
 }
 
-/// Expands `$go!(ReclaimerTypeCtor)` for the reclaimer named by `$scheme`.
-macro_rules! dispatch_scheme {
-    ($scheme:expr, $go:ident) => {
-        match $scheme {
-            "None" => $go!(NoReclaim),
-            "DEBRA" => $go!(Debra),
-            "DEBRA+" => $go!(DebraPlus),
-            "HP" => $go!(HazardPointers),
-            "EBR" => $go!(ClassicEbr),
-            "ThreadScan" => $go!(ThreadScanLite),
-            "IBR" => $go!(Ibr),
-            "VBR" => $go!(Vbr),
-            other => panic!("unknown scheme `{other}` (expected one of {SCHEMES:?})"),
-        }
-    };
-}
-
-/// Like [`dispatch_scheme!`], but also picks the memory configuration: the family's
-/// default pool/allocator for the seven malloc-compatible schemes, and *always* the
-/// type-stable page pool for VBR — version-validated optimistic reads are only
-/// machine-safe over memory that is never unmapped or retyped, and `RecordManager`
-/// enforces exactly that at registration (`AllocatorRequirement::TypeStable`).
-macro_rules! dispatch_scheme_mem {
-    ($scheme:expr, $go:ident, $pool:ident, $alloc:ident) => {
-        match $scheme {
-            "None" => $go!(NoReclaim, $pool, $alloc),
-            "DEBRA" => $go!(Debra, $pool, $alloc),
-            "DEBRA+" => $go!(DebraPlus, $pool, $alloc),
-            "HP" => $go!(HazardPointers, $pool, $alloc),
-            "EBR" => $go!(ClassicEbr, $pool, $alloc),
-            "ThreadScan" => $go!(ThreadScanLite, $pool, $alloc),
-            "IBR" => $go!(Ibr, $pool, $alloc),
-            "VBR" => $go!(Vbr, PagePool, PageAllocator),
-            other => panic!("unknown scheme `{other}` (expected one of {SCHEMES:?})"),
-        }
-    };
-}
-
-/// Runs one (family × scheme) cell of the benchmark matrix.
-fn run_group(c: &mut Criterion, family: &str, scheme: &str) {
+/// Runs one (family × scheme) cell of the benchmark matrix.  Map rows run over malloc
+/// with a per-thread pool; bag rows over malloc with *no* pool, since with a pool in
+/// front `deallocate` never reaches the allocator and the row would measure pool
+/// recycling, not the system allocation pipeline; `_pagepool` and `readheavy` rows over
+/// the page pool.
+fn run_group(c: &mut Criterion, family: &str, kind: ReclaimerKind) {
+    use AllocatorKind::{PagePool, SystemNoPool, SystemWithPool};
+    type ListGuardNode = ListNode<u64, u64>;
+    let name = kind.name();
     match family {
         "list" => {
-            type RawNode = raw_list::RawNode<u64, u64>;
-            type GuardNode = ListNode<u64, u64>;
-            macro_rules! go {
-                ($r:ident, $p:ident, $a:ident) => {
-                    bench_list_pair::<
-                        $r<RawNode>,
-                        $p<RawNode>,
-                        $a<RawNode>,
-                        $r<GuardNode>,
-                        $p<GuardNode>,
-                        $a<GuardNode>,
-                    >(c, scheme)
-                };
-            }
-            dispatch_scheme_mem!(scheme, go, ThreadPool, SystemAllocator);
-        }
-        "list_pp" => {
-            macro_rules! go {
-                ($r:ident) => {
-                    bench_list_guard_pagepool::<$r<ListNode<u64, u64>>>(c, scheme)
-                };
-            }
-            dispatch_scheme!(scheme, go);
+            // The pair runs in both orders and `merge_best` keeps the best run per row:
+            // schemes that never free (None) grow the heap monotonically, so whichever
+            // row is measured later sees a colder, wider heap.
+            let wl = workload(LIST_KEY_RANGE, OperationMix::UPDATE_HEAVY, KeyDistribution::Uniform);
+            kind.dispatch::<RawNode, _>(
+                SystemWithPool,
+                RawListRow(map_row(c, name, "list_raw", &wl, 2)),
+            );
+            kind.dispatch::<ListGuardNode, _>(
+                SystemWithPool,
+                map_row(c, name, "list_guard", &wl, 2),
+            );
+            kind.dispatch::<ListGuardNode, _>(
+                SystemWithPool,
+                map_row(c, name, "list_guard", &wl, 2),
+            );
+            kind.dispatch::<RawNode, _>(
+                SystemWithPool,
+                RawListRow(map_row(c, name, "list_raw", &wl, 2)),
+            );
+            kind.dispatch::<ListGuardNode, _>(
+                PagePool,
+                map_row(c, name, "list_guard_pagepool", &wl, 2),
+            );
         }
         "skiplist" => {
-            type RawNode = raw_skiplist::RawSkipNode<u64, u64>;
-            type GuardNode = SkipNode<u64, u64>;
-            if scheme == "VBR" {
-                // The raw skip list predates the guard layer: it expresses a failed
-                // protect as a retry under the *same* pin, but under VBR only a re-pin
-                // (the typed `Restart`) clears staleness, so the raw idiom can spin on
-                // a node born after its own snapshot (`complete_insert` re-finds the
-                // node it just published).  VBR therefore has no `skiplist_raw` twin —
-                // the guard port's run loop is the only correct expression of its
-                // recovery contract; `bench_schema_check` excuses exactly this cell.
-                bench_skiplist_guard::<Vbr<GuardNode>, PagePool<GuardNode>, PageAllocator<GuardNode>>(
-                    c, scheme,
-                );
-            } else {
-                macro_rules! go {
-                    ($r:ident, $p:ident, $a:ident) => {
-                        bench_skiplist_pair::<
-                            $r<RawNode>,
-                            $p<RawNode>,
-                            $a<RawNode>,
-                            $r<GuardNode>,
-                            $p<GuardNode>,
-                            $a<GuardNode>,
-                        >(c, scheme)
-                    };
-                }
-                dispatch_scheme_mem!(scheme, go, ThreadPool, SystemAllocator);
-            }
+            let wl = workload(TREE_KEY_RANGE, OperationMix::UPDATE_HEAVY, KeyDistribution::Uniform);
+            kind.dispatch::<SkipNode<u64, u64>, _>(
+                SystemWithPool,
+                map_row(c, name, "skiplist_guard", &wl, 2),
+            );
         }
         "bst" => {
-            type Node = BstNode<u64, u64>;
-            macro_rules! go {
-                ($r:ident, $p:ident, $a:ident) => {
-                    bench_bst_guard::<$r<Node>, $p<Node>, $a<Node>>(c, scheme)
-                };
-            }
-            dispatch_scheme_mem!(scheme, go, ThreadPool, SystemAllocator);
+            let wl = workload(TREE_KEY_RANGE, OperationMix::UPDATE_HEAVY, KeyDistribution::Uniform);
+            kind.dispatch::<BstNode<u64, u64>, _>(
+                SystemWithPool,
+                map_row(c, name, "bst_guard", &wl, 2),
+            );
         }
-        "prim" => {
-            macro_rules! go {
-                ($r:ident) => {
-                    bench_scheme::<$r<u64>>(c, scheme)
-                };
-            }
-            dispatch_scheme!(scheme, go);
-            // The retire row exists only for the bag- or batch-based epoch schemes.
-            match scheme {
-                "DEBRA" => bench_retire::<Debra<u64>>(c, scheme),
-                "EBR" => bench_retire::<ClassicEbr<u64>>(c, scheme),
-                "IBR" => bench_retire::<Ibr<u64>>(c, scheme),
-                "VBR" => bench_retire::<Vbr<u64>>(c, scheme),
-                _ => {}
-            }
-        }
+        // The primitive rows use neither pool nor allocator; the page pool is the one
+        // memory configuration every scheme accepts as requested.
+        "prim" => kind.dispatch::<u64, _>(PagePool, Prim { c, kind }),
         "hashmap" => {
-            type Node = HashMapNode<u64, u64>;
-            macro_rules! go {
-                ($r:ident, $p:ident, $a:ident) => {
-                    bench_hashmap_both::<$r<Node>, $p<Node>, $a<Node>>(c, scheme)
+            for (distribution, op) in [
+                (KeyDistribution::Uniform, "hashmap_uniform"),
+                (KeyDistribution::ZIPF_DEFAULT, "hashmap_zipf"),
+            ] {
+                let row = HashmapRow {
+                    c,
+                    name,
+                    op,
+                    mix: OperationMix::UPDATE_HEAVY,
+                    distribution,
+                    slots: 2,
                 };
+                kind.dispatch::<HashMapNode<u64, u64>, _>(SystemWithPool, row);
             }
-            dispatch_scheme_mem!(scheme, go, ThreadPool, SystemAllocator);
         }
         "bags" => {
-            type QNode = QueueNode<u64>;
-            type SNode = StackNode<u64>;
-            // The baseline bag rows deliberately run `NoPool`, not `ThreadPool`: with a
-            // pool in front, `deallocate` never reaches the allocator and the row
-            // measures pool recycling, not the system allocation pipeline.  (VBR's bag
-            // rows necessarily run the page pool instead — see `dispatch_scheme_mem!`.)
-            macro_rules! go {
-                ($r:ident, $p:ident, $a:ident) => {{
-                    bench_queue_guard_as::<$r<QNode>, $p<QNode>, $a<QNode>>(
-                        c,
-                        scheme,
-                        "queue_guard",
-                    );
-                    bench_stack_guard_as::<$r<SNode>, $p<SNode>, $a<SNode>>(
-                        c,
-                        scheme,
-                        "stack_guard",
-                    );
-                }};
+            for (memory, suffix) in [(SystemNoPool, ""), (PagePool, "_pagepool")] {
+                let op = format!("queue_guard{suffix}");
+                kind.dispatch::<QueueNode<u64>, _>(memory, BagRow { c, name, op: &op });
+                let op = format!("stack_guard{suffix}");
+                kind.dispatch::<StackNode<u64>, _>(memory, BagRow { c, name, op: &op });
             }
-            dispatch_scheme_mem!(scheme, go, NoPool, SystemAllocator);
-        }
-        "bags_pp" => {
-            macro_rules! go {
-                ($r:ident) => {
-                    bench_bags_pagepool::<$r<QueueNode<u64>>, $r<StackNode<u64>>>(c, scheme)
-                };
-            }
-            dispatch_scheme!(scheme, go);
         }
         "readheavy" => {
-            type LRawNode = raw_list::RawNode<u64, u64>;
-            type LNode = ListNode<u64, u64>;
-            type HNode = HashMapNode<u64, u64>;
-            macro_rules! go {
-                ($r:ident) => {
-                    for (dist, tag) in [
-                        (KeyDistribution::Uniform, "uniform"),
-                        (KeyDistribution::ZIPF_DEFAULT, "zipf"),
-                    ] {
-                        let (cfg, ops) = readheavy_list_workload(dist);
-                        bench_list_raw_as::<
-                            $r<LRawNode>,
-                            PagePool<LRawNode>,
-                            PageAllocator<LRawNode>,
-                        >(
-                            c,
-                            scheme,
-                            &format!("list_raw_readheavy_{tag}"),
-                            &cfg,
-                            &ops,
-                            READHEAVY_SLOTS,
-                        );
-                        bench_list_guard_as::<$r<LNode>, PagePool<LNode>, PageAllocator<LNode>>(
-                            c,
-                            scheme,
-                            &format!("list_readheavy_{tag}"),
-                            &cfg,
-                            &ops,
-                            READHEAVY_SLOTS,
-                        );
-                        bench_hashmap::<$r<HNode>, PagePool<HNode>, PageAllocator<HNode>>(
-                            c,
-                            scheme,
-                            OperationMix::READ_MOSTLY,
-                            dist,
-                            &format!("hashmap_readheavy_{tag}"),
-                            READHEAVY_SLOTS,
-                        );
-                    }
+            for (distribution, tag) in
+                [(KeyDistribution::Uniform, "uniform"), (KeyDistribution::ZIPF_DEFAULT, "zipf")]
+            {
+                let wl = workload(READHEAVY_KEY_RANGE, OperationMix::READ_MOSTLY, distribution);
+                let op = format!("list_raw_readheavy_{tag}");
+                kind.dispatch::<RawNode, _>(
+                    PagePool,
+                    RawListRow(map_row(c, name, &op, &wl, READHEAVY_SLOTS)),
+                );
+                let op = format!("list_readheavy_{tag}");
+                kind.dispatch::<ListGuardNode, _>(
+                    PagePool,
+                    map_row(c, name, &op, &wl, READHEAVY_SLOTS),
+                );
+                let op = format!("hashmap_readheavy_{tag}");
+                let row = HashmapRow {
+                    c,
+                    name,
+                    op: &op,
+                    mix: OperationMix::READ_MOSTLY,
+                    distribution,
+                    slots: READHEAVY_SLOTS,
                 };
-            }
-            match scheme {
-                "EBR" => go!(ClassicEbr),
-                "VBR" => go!(Vbr),
-                // `cell_exists` keeps the other schemes out of this family.
-                _ => {}
+                kind.dispatch::<HashMapNode<u64, u64>, _>(PagePool, row);
             }
         }
         other => panic!("unknown bench family `{other}` (expected one of {FAMILIES:?})"),
@@ -1700,18 +882,17 @@ fn make_criterion(smoke: bool) -> Criterion {
 /// Spawns one child process per (family × scheme) cell — `BENCH_GROUP=family:scheme` —
 /// and merges their JSON outputs.  Fresh child state per cell is the point: every cell
 /// starts on a young heap, empty page stores and zeroed thread registries, so no row's
-/// number depends on which rows ran before it (the cross-row bias the in-process run
-/// could only mitigate by careful ordering).  Returns `Err` only if children cannot be
-/// spawned at all; a cell that *runs* and fails aborts the whole run instead.
-fn run_isolated(json_path: &str) -> std::io::Result<Vec<Row>> {
+/// number depends on which cells ran before it.  Returns `Err` if a child cannot be
+/// spawned or its output read; a cell that *runs* and fails aborts the whole run.
+fn run_isolated() -> std::io::Result<Vec<Row>> {
     let exe = std::env::current_exe()?;
     let mut rows: Vec<Row> = Vec::new();
     for (i, family) in FAMILIES.iter().enumerate() {
-        for (j, scheme) in SCHEMES.iter().enumerate() {
-            if !cell_exists(family, scheme) {
+        for (j, kind) in ReclaimerKind::ALL.into_iter().enumerate() {
+            if !cell_exists(family, kind) {
                 continue;
             }
-            let group = format!("{family}:{scheme}");
+            let group = format!("{family}:{}", kind.name());
             let tmp = std::env::temp_dir().join(format!(
                 "bench_group_{}_{}_{}.json",
                 std::process::id(),
@@ -1733,7 +914,6 @@ fn run_isolated(json_path: &str) -> std::io::Result<Vec<Row>> {
             merge_best(&mut rows, parse_json(&text));
         }
     }
-    let _ = json_path;
     Ok(rows)
 }
 
@@ -1780,8 +960,10 @@ fn main() {
         let (family, scheme) = group
             .split_once(':')
             .unwrap_or_else(|| panic!("BENCH_GROUP must be `family:scheme`, got `{group}`"));
+        let kind = ReclaimerKind::from_name(scheme)
+            .unwrap_or_else(|| panic!("unknown scheme `{scheme}` in BENCH_GROUP=`{group}`"));
         let mut criterion = make_criterion(smoke);
-        run_group(&mut criterion, family, scheme);
+        run_group(&mut criterion, family, kind);
         let mut rows = Vec::new();
         merge_best(&mut rows, drain_criterion(&criterion));
         if let Err(e) = write_json(&rows, &path) {
@@ -1791,22 +973,14 @@ fn main() {
         return;
     }
 
-    // Parent mode: one fresh child process per cell; fall back to a single in-process
-    // sweep only where spawning is impossible.
-    let rows = run_isolated(&path).unwrap_or_else(|e| {
-        eprintln!("child-process isolation unavailable ({e}); running in-process");
-        let mut criterion = make_criterion(smoke);
-        for family in FAMILIES {
-            for scheme in SCHEMES {
-                if cell_exists(family, scheme) {
-                    run_group(&mut criterion, family, scheme);
-                }
-            }
+    // Parent mode: one fresh child process per cell.
+    let rows = match run_isolated() {
+        Ok(rows) => rows,
+        Err(e) => {
+            eprintln!("cannot run the per-cell bench processes: {e}");
+            std::process::exit(1);
         }
-        let mut rows = Vec::new();
-        merge_best(&mut rows, drain_criterion(&criterion));
-        rows
-    });
+    };
     match write_json(&rows, &path) {
         Ok(()) => {
             print_readheavy_comparison(&rows);

@@ -23,28 +23,22 @@
 //! Exit code 0 if the schemas are complete, 1 otherwise.  The parser is deliberately a
 //! minimal hand-rolled scan (the workspace has no JSON dependency, see `shims/README.md`).
 
-/// Every scheme in the repository's line-up.
-const SCHEMES: [&str; 8] = ["None", "DEBRA", "DEBRA+", "HP", "EBR", "ThreadScan", "IBR", "VBR"];
+use smr_workloads::oversub::{Mode, STRUCTURES};
+use smr_workloads::ReclaimerKind;
 
 /// (scheme, op) pairs the JSON must contain.
 fn expected_rows() -> Vec<(String, String)> {
     let mut rows = Vec::new();
-    for scheme in SCHEMES {
+    for scheme in ReclaimerKind::ALL.map(|k| k.name()) {
         rows.push((scheme.to_string(), "op_boundary".to_string()));
         rows.push((scheme.to_string(), "protect".to_string()));
         rows.push((scheme.to_string(), "hashmap_uniform".to_string()));
         rows.push((scheme.to_string(), "hashmap_zipf".to_string()));
-        // The guard-layer overhead pairs (safe Domain/Guard/Shield/ShieldSet API vs the
-        // raw Record Manager baselines embedded in the benchmark), plus the BST's
-        // absolute safe-API row (its raw implementation no longer exists).  VBR has no
-        // `skiplist_raw` twin: the raw skip list retries a failed protect under the
-        // same pin, which cannot express VBR's re-pin (typed Restart) recovery — see
-        // the `skiplist` family in `reclaimer_microbench.rs`.
+        // The guard-layer overhead pair (safe Domain/Guard/Shield API vs the raw Record
+        // Manager list embedded in the benchmark), plus the skip list's and the BST's
+        // absolute safe-API rows.
         rows.push((scheme.to_string(), "list_raw".to_string()));
         rows.push((scheme.to_string(), "list_guard".to_string()));
-        if scheme != "VBR" {
-            rows.push((scheme.to_string(), "skiplist_raw".to_string()));
-        }
         rows.push((scheme.to_string(), "skiplist_guard".to_string()));
         rows.push((scheme.to_string(), "bst_guard".to_string()));
         // The bag-shaped structures (smr-queue): alternating push/pop per scheme.
@@ -95,11 +89,6 @@ fn number(line: &str, name: &str) -> Option<f64> {
         .unwrap_or(line.len());
     line[start..end].parse().ok()
 }
-
-/// Structures and modes of the latency family (`experiments -- oversub`); must match
-/// `smr_workloads::oversub`.
-const LATENCY_STRUCTURES: [&str; 2] = ["HashMap", "Queue"];
-const LATENCY_MODES: [&str; 3] = ["off", "on", "oversub"];
 
 /// Checks `BENCH_reclaimer.json`; returns the number of problems found.
 fn check_reclaimer(path: &str) -> usize {
@@ -209,10 +198,13 @@ fn check_latency(path: &str) -> usize {
         present.push((structure.to_string(), scheme.to_string(), mode.to_string(), mops));
     }
 
+    let structures = STRUCTURES.map(|s| s.name());
+    let schemes = ReclaimerKind::ALL.map(|k| k.name());
+    let modes = Mode::ALL.map(|m| m.name());
     let mut missing = 0usize;
-    for structure in LATENCY_STRUCTURES {
-        for scheme in SCHEMES {
-            for mode in LATENCY_MODES {
+    for structure in structures {
+        for scheme in schemes {
+            for mode in modes {
                 if !present
                     .iter()
                     .any(|(st, sc, m, _)| st == structure && sc == scheme && m == mode)
@@ -234,8 +226,8 @@ fn check_latency(path: &str) -> usize {
             .find(|(st, sc, m, _)| st == structure && sc == scheme && m == mode)
             .map(|&(_, _, _, mops)| mops)
     };
-    for structure in LATENCY_STRUCTURES {
-        for scheme in SCHEMES {
+    for structure in structures {
+        for scheme in schemes {
             if let (Some(off), Some(on)) =
                 (lookup(structure, scheme, "off"), lookup(structure, scheme, "on"))
             {
@@ -247,7 +239,7 @@ fn check_latency(path: &str) -> usize {
     }
 
     if problems == 0 && missing == 0 {
-        let cells = LATENCY_STRUCTURES.len() * SCHEMES.len() * LATENCY_MODES.len();
+        let cells = structures.len() * schemes.len() * modes.len();
         println!(
             "bench_schema_check: {path} OK ({} rows, all {cells} structure x scheme x mode \
              cells present)",

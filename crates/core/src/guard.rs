@@ -682,7 +682,7 @@ where
     /// monomorphization, so the non-helping branch compiles out.
     #[inline]
     pub fn helping_allowed(&self) -> bool {
-        self.lease().with_handle(|h| h.supports_unprotected_traversal())
+        matches!(<R::Thread as ReclaimerThread<T>>::READ_PROTECTION, ReadProtection::Pin)
     }
 
     /// `true` if the chosen reclaimer supports crash recovery / neutralization (DEBRA+);

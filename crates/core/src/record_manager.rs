@@ -438,14 +438,6 @@ where
         <R::Thread as ReclaimerThread<T>>::SUPPORTS_CRASH_RECOVERY
     }
 
-    /// `true` if the chosen reclaimer permits dereferencing records without a per-access
-    /// validated protect — the epoch-style capability that makes *helping* sound; see
-    /// [`ReclaimerThread::SUPPORTS_UNPROTECTED_TRAVERSAL`].  Constant after
-    /// monomorphization, so the non-helping branch compiles out.
-    pub fn supports_unprotected_traversal(&self) -> bool {
-        <R::Thread as ReclaimerThread<T>>::SUPPORTS_UNPROTECTED_TRAVERSAL
-    }
-
     /// How the chosen reclaimer protects readers (announce / pin / validate); see
     /// [`crate::ReadProtection`].  Constant after monomorphization.
     pub fn read_protection(&self) -> ReadProtection {

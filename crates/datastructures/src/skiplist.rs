@@ -293,8 +293,8 @@ where
 
     /// Geometric(1/2) tower height from a deterministic SplitMix64 stream: one relaxed
     /// `fetch_add` per insert (concurrent inserters draw distinct values), reproducible
-    /// across runs — which is what makes the `skiplist_raw` / `skiplist_guard` benchmark
-    /// pair compare identical tower shapes instead of per-run RNG luck.
+    /// across runs — which is what makes successive `skiplist_guard` benchmark runs
+    /// traverse identical tower shapes instead of per-run RNG luck.
     fn random_height(&self) -> usize {
         let x = self.height_rng.fetch_add(0x9E37_79B9_7F4A_7C15, Ordering::Relaxed);
         let mut z = x;

@@ -806,9 +806,6 @@ mod tests {
             <VbrThread<u64> as ReclaimerThread<u64>>::READ_PROTECTION,
             ReadProtection::Validate
         ));
-        const {
-            assert!(!<VbrThread<u64> as ReclaimerThread<u64>>::SUPPORTS_UNPROTECTED_TRAVERSAL);
-        }
     }
 
     #[test]

@@ -16,18 +16,14 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
-use debra::{Allocator, Debra, DebraPlus, Pool, PoolStats, Reclaimer, RecordManager};
-use lockfree_ds::{BstNode, ExternalBst, SkipList, SkipNode};
-use smr_alloc::{BumpAllocator, NoPool, SystemAllocator, ThreadPool};
-use smr_baselines::{ClassicEbr, HazardPointers, NoReclaim, ThreadScanLite};
-use smr_hashmap::{HashMapNode, LockFreeHashMap};
-use smr_ibr::Ibr;
-use smr_pagepool::{PageAllocator, PagePool};
-use smr_queue::{MsQueue, QueueNode, StackNode, TreiberStack};
-use smr_vbr::Vbr;
+use debra::{Allocator, Pool, PoolStats, Reclaimer, ReclaimerStats, RecordManager};
+use lockfree_ds::{BstNode, SkipNode};
+use smr_hashmap::HashMapNode;
+use smr_queue::{QueueNode, StackNode};
 
 use crate::harness::{run_trial, TrialResult};
 use crate::pc::{run_pc_trial, PcConfig, PcScenario, PcTrialResult};
+use crate::registry::{BagNode, Composition, MapNode};
 use crate::workload::{KeyDistribution, OperationMix, WorkloadConfig};
 
 /// Trials narrated so far (the `i` of `trial i/N`), process-wide.
@@ -108,28 +104,9 @@ impl ReclaimerKind {
         }
     }
 
-    /// `true` for schemes whose optimistic reads are machine-safe only over a
-    /// type-stable allocator (`debra::AllocatorRequirement::TypeStable`);
-    /// registration panics otherwise.
-    pub fn requires_type_stable_allocator(&self) -> bool {
-        matches!(self, ReclaimerKind::Vbr)
-    }
-
-    /// The memory configuration a trial of this scheme actually runs with: the
-    /// requested one, except that type-stability-requiring schemes are coerced to
-    /// [`AllocatorKind::PagePool`] (with a stderr note) so sweeps over
-    /// `ReclaimerKind::ALL` don't abort on the one scheme the requested allocator
-    /// cannot host.
-    pub fn effective_allocator(&self, requested: AllocatorKind) -> AllocatorKind {
-        if self.requires_type_stable_allocator() && requested != AllocatorKind::PagePool {
-            eprintln!(
-                "note: {} requires ALLOCATOR=pagepool; running it on pagepool instead of {}",
-                self.name(),
-                requested.name()
-            );
-            return AllocatorKind::PagePool;
-        }
-        requested
+    /// The scheme whose [`name`](Self::name) is `name`, if any.
+    pub fn from_name(name: &str) -> Option<ReclaimerKind> {
+        ReclaimerKind::ALL.into_iter().find(|k| k.name() == name)
     }
 }
 
@@ -150,6 +127,15 @@ pub enum StructureKind {
 }
 
 impl StructureKind {
+    /// Every structure, maps first.
+    pub const ALL: [StructureKind; 5] = [
+        StructureKind::Bst,
+        StructureKind::SkipList,
+        StructureKind::HashMap,
+        StructureKind::Queue,
+        StructureKind::Stack,
+    ];
+
     /// Display name.
     pub fn name(&self) -> &'static str {
         match self {
@@ -161,10 +147,9 @@ impl StructureKind {
         }
     }
 
-    /// `true` for the bag-shaped structures (queue, stack), whose trials run through the
-    /// producer/consumer harness ([`crate::pc`]) rather than the keyed-map harness.
-    pub fn is_bag(&self) -> bool {
-        matches!(self, StructureKind::Queue | StructureKind::Stack)
+    /// The structure whose [`name`](Self::name) is `name`, if any.
+    pub fn from_name(name: &str) -> Option<StructureKind> {
+        StructureKind::ALL.into_iter().find(|k| k.name() == name)
     }
 }
 
@@ -175,6 +160,9 @@ pub enum AllocatorKind {
     BumpNoPool,
     /// Bump allocator + per-thread pool — Experiment 2 / Figure 9.
     BumpWithPool,
+    /// System allocator (`malloc`), no pool: every retire reaches `free` and every
+    /// allocation reaches `malloc`.
+    SystemNoPool,
     /// System allocator (`malloc`) + per-thread pool — Experiment 3.
     SystemWithPool,
     /// Type-stable page allocator + magazine pool (`smr-pagepool`): the retire→free hot
@@ -183,10 +171,11 @@ pub enum AllocatorKind {
 }
 
 impl AllocatorKind {
-    /// Every memory configuration, in the order the experiments sweep them.
-    pub const ALL: [AllocatorKind; 4] = [
+    /// Every memory configuration.
+    pub const ALL: [AllocatorKind; 5] = [
         AllocatorKind::BumpNoPool,
         AllocatorKind::BumpWithPool,
+        AllocatorKind::SystemNoPool,
         AllocatorKind::SystemWithPool,
         AllocatorKind::PagePool,
     ];
@@ -196,6 +185,7 @@ impl AllocatorKind {
         match self {
             AllocatorKind::BumpNoPool => "bump/no-pool",
             AllocatorKind::BumpWithPool => "bump/pool",
+            AllocatorKind::SystemNoPool => "malloc/no-pool",
             AllocatorKind::SystemWithPool => "malloc/pool",
             AllocatorKind::PagePool => "pagepool",
         }
@@ -304,7 +294,7 @@ where
         scope.spawn(|| {
             // Register on the laggard thread itself (DEBRA+ binds its signal target to
             // the registering thread).  The slot `tid` is reserved for the laggard by
-            // the dispatch macros; Domain auto-leasing skips already-registered slots.
+            // `composed_trial`; Domain auto-leasing skips already-registered slots.
             let mut laggard = manager.register(tid).expect("laggard thread slot");
             ready.store(true, Ordering::SeqCst);
             let stall = std::time::Duration::from_millis(stall_ms);
@@ -335,6 +325,46 @@ where
     })
 }
 
+/// The plumbing both harnesses share: a Record Manager with one slot per worker, +1 for
+/// the prefill handle and +1 for the laggard when one is pinned; `build` composes the
+/// structure over it, and `trial` runs beside the laggard with end-of-trial readers of
+/// the manager's reclaimer, allocator and pool counters.
+fn composed_trial<T, R, P, A, S, O>(
+    workers: usize,
+    laggard_stall_ms: u64,
+    build: impl FnOnce(Arc<RecordManager<T, R, P, A>>) -> S,
+    trial: impl FnOnce(
+        &S,
+        &dyn Fn() -> ReclaimerStats,
+        &dyn Fn() -> (u64, u64),
+        &dyn Fn() -> PoolStats,
+    ) -> O,
+) -> O
+where
+    T: Send + 'static,
+    R: Reclaimer<T>,
+    P: Pool<T>,
+    A: Allocator<T>,
+{
+    let laggard = laggard_stall_ms > 0;
+    let slots = workers + 1 + laggard as usize;
+    let manager = Arc::new(RecordManager::new(slots));
+    let structure = build(Arc::clone(&manager));
+    let run = || {
+        trial(
+            &structure,
+            &|| manager.reclaimer().stats(),
+            &|| (manager.allocator().allocated_bytes(), manager.allocator().allocated_records()),
+            &|| manager.pool().stats(),
+        )
+    };
+    if laggard {
+        with_laggard(&manager, slots - 1, laggard_stall_ms, run)
+    } else {
+        run()
+    }
+}
+
 /// Runs one fully specified configuration and returns its row.  The memory configuration
 /// (allocator + pool) comes from [`WorkloadConfig::allocator`].
 ///
@@ -348,140 +378,83 @@ pub fn run_config(
     cfg: &WorkloadConfig,
     seed: u64,
 ) -> ExperimentRow {
-    let allocator = reclaimer.effective_allocator(cfg.allocator);
-    if structure.is_bag() {
-        let updates = (cfg.mix.insert_pct as u64 + cfg.mix.delete_pct as u64).max(1);
-        let pc_cfg = PcConfig {
-            threads: cfg.threads,
-            scenario: PcScenario::Symmetric,
-            enqueue_pct: (cfg.mix.insert_pct as u64 * 100 / updates) as u8,
-            prefill: if cfg.prefill { cfg.key_range / 2 } else { 0 },
-            duration_ms: cfg.duration_ms,
-            allocator,
-            latency: cfg.latency,
-            laggard_stall_ms: cfg.laggard_stall_ms,
-        };
-        let row = run_pc_config(structure, reclaimer, &pc_cfg, seed);
-        return ExperimentRow {
+    let trial = MapTrial { structure, reclaimer, cfg, seed };
+    match structure {
+        StructureKind::Bst => reclaimer.dispatch::<BstNode<u64, u64>, _>(cfg.allocator, trial),
+        StructureKind::SkipList => {
+            reclaimer.dispatch::<SkipNode<u64, u64>, _>(cfg.allocator, trial)
+        }
+        StructureKind::HashMap => {
+            reclaimer.dispatch::<HashMapNode<u64, u64>, _>(cfg.allocator, trial)
+        }
+        StructureKind::Queue | StructureKind::Stack => {
+            let updates = (cfg.mix.insert_pct as u64 + cfg.mix.delete_pct as u64).max(1);
+            let pc_cfg = PcConfig {
+                threads: cfg.threads,
+                scenario: PcScenario::Symmetric,
+                enqueue_pct: (cfg.mix.insert_pct as u64 * 100 / updates) as u8,
+                prefill: if cfg.prefill { cfg.key_range / 2 } else { 0 },
+                duration_ms: cfg.duration_ms,
+                allocator: cfg.allocator,
+                latency: cfg.latency,
+                laggard_stall_ms: cfg.laggard_stall_ms,
+            };
+            let row = run_pc_config(structure, reclaimer, &pc_cfg, seed);
+            ExperimentRow {
+                structure,
+                reclaimer,
+                allocator: row.allocator,
+                threads: cfg.threads,
+                key_range: cfg.key_range,
+                mix: row.mix,
+                distribution: cfg.distribution,
+                result: row.result.trial,
+            }
+        }
+    }
+}
+
+/// One keyed-map trial, run by [`run_config`] over the composition the registry picks.
+struct MapTrial<'a> {
+    structure: StructureKind,
+    reclaimer: ReclaimerKind,
+    cfg: &'a WorkloadConfig,
+    seed: u64,
+}
+
+impl<T: MapNode> Composition<T> for MapTrial<'_> {
+    type Out = ExperimentRow;
+
+    fn run<R: Reclaimer<T>, P: Pool<T>, A: Allocator<T>>(
+        self,
+        allocator: AllocatorKind,
+    ) -> ExperimentRow {
+        let MapTrial { structure, reclaimer, cfg, seed } = self;
+        // Sweeps print their tables only when complete; on a single-core box a full sweep
+        // takes minutes, so narrate per-trial progress (with `i/N` and elapsed wall-clock)
+        // to stderr (tables go to stdout).
+        narrate_trial(format_args!(
+            "{structure:?} x {reclaimer:?} x {allocator:?} (threads={}, keys={}, {}ms)",
+            cfg.threads, cfg.key_range, cfg.duration_ms
+        ));
+        let result = composed_trial(
+            cfg.threads,
+            cfg.laggard_stall_ms,
+            T::build::<R, P, A>,
+            |map, reclaimer_stats, allocator_stats, pool_stats| {
+                run_trial(map, cfg, seed, reclaimer_stats, allocator_stats, pool_stats)
+            },
+        );
+        ExperimentRow {
             structure,
             reclaimer,
             allocator,
             threads: cfg.threads,
             key_range: cfg.key_range,
-            mix: row.mix,
+            mix: cfg.mix.label(),
             distribution: cfg.distribution,
-            result: row.result.trial,
-        };
-    }
-    // Sweeps print their tables only when complete; on a single-core box a full sweep
-    // takes minutes, so narrate per-trial progress (with `i/N` and elapsed wall-clock)
-    // to stderr (tables go to stdout).
-    narrate_trial(format_args!(
-        "{structure:?} x {reclaimer:?} x {allocator:?} (threads={}, keys={}, {}ms)",
-        cfg.threads, cfg.key_range, cfg.duration_ms
-    ));
-    // The combinatorial instantiation of (structure × reclaimer × memory configuration) is
-    // expanded by this macro: each arm builds the Record Manager with the right type
-    // parameters (a one-line choice, which is the whole point of the abstraction) and runs
-    // the shared harness.
-    macro_rules! run {
-        ($ds:ident, $node:ty, $recl:ty, $pool:ty, $alloc:ty) => {{
-            // +1 slot for the prefill handle, +1 more for the laggard when pinned.
-            let laggard = cfg.laggard_stall_ms > 0;
-            let threads = cfg.threads + 1 + laggard as usize;
-            let manager: Arc<RecordManager<$node, $recl, $pool, $alloc>> =
-                Arc::new(RecordManager::new(threads));
-            let map = $ds::new(Arc::clone(&manager));
-            let trial = || {
-                run_trial(
-                    &map,
-                    cfg,
-                    seed,
-                    || manager.reclaimer().stats(),
-                    || {
-                        (
-                            manager.allocator().allocated_bytes(),
-                            manager.allocator().allocated_records(),
-                        )
-                    },
-                    || manager.pool().stats(),
-                )
-            };
-            if laggard {
-                with_laggard(&manager, threads - 1, cfg.laggard_stall_ms, trial)
-            } else {
-                trial()
-            }
-        }};
-    }
-
-    macro_rules! dispatch_structure {
-        ($recl:ident, $pool:ident, $alloc:ident) => {
-            match structure {
-                StructureKind::Bst => run!(
-                    ExternalBst,
-                    BstNode<u64, u64>,
-                    $recl<BstNode<u64, u64>>,
-                    $pool<BstNode<u64, u64>>,
-                    $alloc<BstNode<u64, u64>>
-                ),
-                StructureKind::SkipList => run!(
-                    SkipList,
-                    SkipNode<u64, u64>,
-                    $recl<SkipNode<u64, u64>>,
-                    $pool<SkipNode<u64, u64>>,
-                    $alloc<SkipNode<u64, u64>>
-                ),
-                StructureKind::HashMap => run!(
-                    LockFreeHashMap,
-                    HashMapNode<u64, u64>,
-                    $recl<HashMapNode<u64, u64>>,
-                    $pool<HashMapNode<u64, u64>>,
-                    $alloc<HashMapNode<u64, u64>>
-                ),
-                // Bags were routed to the producer/consumer harness above.
-                StructureKind::Queue | StructureKind::Stack => unreachable!(
-                    "bag structures run through run_pc_config (see the is_bag() branch)"
-                ),
-            }
-        };
-    }
-
-    macro_rules! dispatch_memory {
-        ($recl:ident) => {
-            match allocator {
-                AllocatorKind::BumpNoPool => dispatch_structure!($recl, NoPool, BumpAllocator),
-                AllocatorKind::BumpWithPool => {
-                    dispatch_structure!($recl, ThreadPool, BumpAllocator)
-                }
-                AllocatorKind::SystemWithPool => {
-                    dispatch_structure!($recl, ThreadPool, SystemAllocator)
-                }
-                AllocatorKind::PagePool => dispatch_structure!($recl, PagePool, PageAllocator),
-            }
-        };
-    }
-
-    let result = match reclaimer {
-        ReclaimerKind::None => dispatch_memory!(NoReclaim),
-        ReclaimerKind::Debra => dispatch_memory!(Debra),
-        ReclaimerKind::DebraPlus => dispatch_memory!(DebraPlus),
-        ReclaimerKind::HazardPointers => dispatch_memory!(HazardPointers),
-        ReclaimerKind::Ebr => dispatch_memory!(ClassicEbr),
-        ReclaimerKind::ThreadScan => dispatch_memory!(ThreadScanLite),
-        ReclaimerKind::Ibr => dispatch_memory!(Ibr),
-        ReclaimerKind::Vbr => dispatch_memory!(Vbr),
-    };
-
-    ExperimentRow {
-        structure,
-        reclaimer,
-        allocator,
-        threads: cfg.threads,
-        key_range: cfg.key_range,
-        mix: cfg.mix.label(),
-        distribution: cfg.distribution,
-        result,
+            result,
+        }
     }
 }
 
@@ -545,96 +518,44 @@ pub fn run_pc_config(
     cfg: &PcConfig,
     seed: u64,
 ) -> PcRow {
-    let allocator = reclaimer.effective_allocator(cfg.allocator);
-    assert!(structure.is_bag(), "run_pc_config drives bag structures (Queue, Stack)");
-    narrate_trial(format_args!(
-        "{structure:?} x {reclaimer:?} x {allocator:?} (threads={}, {}, {}ms)",
-        cfg.threads,
-        cfg.label(),
-        cfg.duration_ms
-    ));
-    macro_rules! run_bag {
-        ($ds:ident, $node:ty, $recl:ty, $pool:ty, $alloc:ty) => {{
-            // +1 slot for the prefill handle, +1 more for the laggard when pinned.
-            let laggard = cfg.laggard_stall_ms > 0;
-            let threads = cfg.threads + 1 + laggard as usize;
-            let manager: Arc<RecordManager<$node, $recl, $pool, $alloc>> =
-                Arc::new(RecordManager::new(threads));
-            let bag = $ds::new(Arc::clone(&manager));
-            let trial = || {
-                run_pc_trial(
-                    &bag,
-                    cfg,
-                    seed,
-                    || manager.reclaimer().stats(),
-                    || {
-                        (
-                            manager.allocator().allocated_bytes(),
-                            manager.allocator().allocated_records(),
-                        )
-                    },
-                    || manager.pool().stats(),
-                )
-            };
-            if laggard {
-                with_laggard(&manager, threads - 1, cfg.laggard_stall_ms, trial)
-            } else {
-                trial()
-            }
-        }};
+    let trial = BagTrial { structure, reclaimer, cfg, seed };
+    match structure {
+        StructureKind::Queue => reclaimer.dispatch::<QueueNode<u64>, _>(cfg.allocator, trial),
+        StructureKind::Stack => reclaimer.dispatch::<StackNode<u64>, _>(cfg.allocator, trial),
+        _ => panic!("run_pc_config drives bag structures (Queue, Stack)"),
     }
+}
 
-    macro_rules! dispatch_bag_structure {
-        ($recl:ident, $pool:ident, $alloc:ident) => {
-            match structure {
-                StructureKind::Queue => run_bag!(
-                    MsQueue,
-                    QueueNode<u64>,
-                    $recl<QueueNode<u64>>,
-                    $pool<QueueNode<u64>>,
-                    $alloc<QueueNode<u64>>
-                ),
-                StructureKind::Stack => run_bag!(
-                    TreiberStack,
-                    StackNode<u64>,
-                    $recl<StackNode<u64>>,
-                    $pool<StackNode<u64>>,
-                    $alloc<StackNode<u64>>
-                ),
-                _ => unreachable!("asserted bag-shaped above"),
-            }
-        };
+/// One producer/consumer trial, run by [`run_pc_config`] over the composition the
+/// registry picks.
+struct BagTrial<'a> {
+    structure: StructureKind,
+    reclaimer: ReclaimerKind,
+    cfg: &'a PcConfig,
+    seed: u64,
+}
+
+impl<T: BagNode> Composition<T> for BagTrial<'_> {
+    type Out = PcRow;
+
+    fn run<R: Reclaimer<T>, P: Pool<T>, A: Allocator<T>>(self, allocator: AllocatorKind) -> PcRow {
+        let BagTrial { structure, reclaimer, cfg, seed } = self;
+        narrate_trial(format_args!(
+            "{structure:?} x {reclaimer:?} x {allocator:?} (threads={}, {}, {}ms)",
+            cfg.threads,
+            cfg.label(),
+            cfg.duration_ms
+        ));
+        let result = composed_trial(
+            cfg.threads,
+            cfg.laggard_stall_ms,
+            T::build::<R, P, A>,
+            |bag, reclaimer_stats, allocator_stats, pool_stats| {
+                run_pc_trial(bag, cfg, seed, reclaimer_stats, allocator_stats, pool_stats)
+            },
+        );
+        PcRow { structure, reclaimer, allocator, threads: cfg.threads, mix: cfg.label(), result }
     }
-
-    macro_rules! dispatch_bag_memory {
-        ($recl:ident) => {
-            match allocator {
-                AllocatorKind::BumpNoPool => dispatch_bag_structure!($recl, NoPool, BumpAllocator),
-                AllocatorKind::BumpWithPool => {
-                    dispatch_bag_structure!($recl, ThreadPool, BumpAllocator)
-                }
-                AllocatorKind::SystemWithPool => {
-                    dispatch_bag_structure!($recl, ThreadPool, SystemAllocator)
-                }
-                AllocatorKind::PagePool => {
-                    dispatch_bag_structure!($recl, PagePool, PageAllocator)
-                }
-            }
-        };
-    }
-
-    let result = match reclaimer {
-        ReclaimerKind::None => dispatch_bag_memory!(NoReclaim),
-        ReclaimerKind::Debra => dispatch_bag_memory!(Debra),
-        ReclaimerKind::DebraPlus => dispatch_bag_memory!(DebraPlus),
-        ReclaimerKind::HazardPointers => dispatch_bag_memory!(HazardPointers),
-        ReclaimerKind::Ebr => dispatch_bag_memory!(ClassicEbr),
-        ReclaimerKind::ThreadScan => dispatch_bag_memory!(ThreadScanLite),
-        ReclaimerKind::Ibr => dispatch_bag_memory!(Ibr),
-        ReclaimerKind::Vbr => dispatch_bag_memory!(Vbr),
-    };
-
-    PcRow { structure, reclaimer, allocator, threads: cfg.threads, mix: cfg.label(), result }
 }
 
 /// The producer/consumer experiment (not in the paper — the paper's evaluation is

@@ -1,25 +1,41 @@
 //! Regenerates the qualitative scheme-comparison table (the paper's Figure 2) from the
 //! `SchemeProperties` metadata reported by every implemented reclaimer.
 
-use debra::{Debra, DebraPlus, Reclaimer, SchemeProperties};
-use smr_baselines::{ClassicEbr, HazardPointers, NoReclaim, ThreadScanLite};
-use smr_ibr::Ibr;
-use smr_vbr::Vbr;
+use debra::{Allocator, Pool, Reclaimer, SchemeProperties};
 
-/// Collects the properties of every reclamation scheme implemented in this repository.
+use crate::experiments::{AllocatorKind, ReclaimerKind};
+use crate::registry::Composition;
+
+/// Reads the reclaimer's properties; they do not depend on the record type or memory.
+struct Properties;
+
+impl Composition<u64> for Properties {
+    type Out = SchemeProperties;
+
+    fn run<R: Reclaimer<u64>, P: Pool<u64>, A: Allocator<u64>>(
+        self,
+        _: AllocatorKind,
+    ) -> SchemeProperties {
+        R::properties()
+    }
+}
+
+/// Collects the properties of every reclamation scheme implemented in this repository,
+/// in the table's row order (the paper's schemes first, DEBRA and DEBRA+ last).
 pub fn implemented_schemes() -> Vec<SchemeProperties> {
-    // A throwaway record type: the properties do not depend on `T`.
-    type T = u64;
-    vec![
-        <NoReclaim<T> as Reclaimer<T>>::properties(),
-        <ClassicEbr<T> as Reclaimer<T>>::properties(),
-        <HazardPointers<T> as Reclaimer<T>>::properties(),
-        <ThreadScanLite<T> as Reclaimer<T>>::properties(),
-        <Ibr<T> as Reclaimer<T>>::properties(),
-        <Vbr<T> as Reclaimer<T>>::properties(),
-        <Debra<T> as Reclaimer<T>>::properties(),
-        <DebraPlus<T> as Reclaimer<T>>::properties(),
+    [
+        ReclaimerKind::None,
+        ReclaimerKind::Ebr,
+        ReclaimerKind::HazardPointers,
+        ReclaimerKind::ThreadScan,
+        ReclaimerKind::Ibr,
+        ReclaimerKind::Vbr,
+        ReclaimerKind::Debra,
+        ReclaimerKind::DebraPlus,
     ]
+    .into_iter()
+    .map(|kind| kind.dispatch::<u64, _>(AllocatorKind::PagePool, Properties))
+    .collect()
 }
 
 fn tick(b: bool) -> &'static str {

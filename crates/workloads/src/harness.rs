@@ -7,9 +7,10 @@
 //! * `run_trial_erased` — the actual trial body (prefill, thread spawning, timing,
 //!   operation loop), which works through the object-safe [`BenchHandle`] and therefore
 //!   **compiles exactly once** instead of once per (structure × reclaimer × pool ×
-//!   allocator) combination.  With 3 structures × 7 schemes × 3 memory configurations the
-//!   experiment dispatch macro expands to 63 combinations; duplicating the trial body into
-//!   each of them was pure compile-time waste (measured: ~14% of the crate's rebuild).
+//!   allocator) combination.  The registry (`ReclaimerKind::dispatch`) instantiates 3 map
+//!   structures × 8 schemes × 5 memory configurations = 120 combinations; duplicating the
+//!   trial body into each of them would be pure compile-time waste (measured at 63
+//!   combinations: ~14% of the crate's rebuild).
 //!
 //! The per-operation virtual call this introduces is one predictable indirect branch per
 //! map operation (each of which is itself tens to hundreds of instructions plus cache

@@ -15,6 +15,9 @@
 //! * [`experiments`] — one driver per paper experiment (Experiment 1, 2, 2-oversubscribed,
 //!   3, the memory-footprint figure and the headline summary), each parameterized over
 //!   data structure × reclaimer × pool × allocator.
+//! * [`registry`] — the one scheme × memory table: [`ReclaimerKind::dispatch`] runs a
+//!   generic [`Composition`] over the Record Manager types a runtime choice names, and
+//!   [`MapNode`]/[`BagNode`] name the structure built over each node type.
 //! * [`figure2`] — regenerates the qualitative scheme-comparison table (paper, Figure 2)
 //!   from the `SchemeProperties` reported by every implemented reclaimer.
 //! * [`oversub`] — the oversubscribed latency / bounded-memory family (`-- oversub`):
@@ -29,6 +32,7 @@ pub mod figure2;
 pub mod harness;
 pub mod oversub;
 pub mod pc;
+pub mod registry;
 #[cfg(feature = "smr_sanitize")]
 pub mod sanitize;
 pub mod workload;
@@ -38,4 +42,5 @@ pub use experiments::{
 };
 pub use harness::{run_trial, BenchHandle, TrialResult};
 pub use pc::{run_pc_trial, BagBenchHandle, PcConfig, PcScenario, PcTrialResult};
+pub use registry::{BagNode, Composition, MapNode};
 pub use workload::{KeyDistribution, OperationMix, WorkloadConfig};

@@ -77,22 +77,6 @@ impl Mode {
     }
 }
 
-fn structure_parse(s: &str) -> Option<StructureKind> {
-    [
-        StructureKind::Bst,
-        StructureKind::SkipList,
-        StructureKind::HashMap,
-        StructureKind::Queue,
-        StructureKind::Stack,
-    ]
-    .into_iter()
-    .find(|k| k.name() == s)
-}
-
-fn reclaimer_parse(s: &str) -> Option<ReclaimerKind> {
-    ReclaimerKind::ALL.into_iter().find(|k| k.name() == s)
-}
-
 /// Base (non-oversubscribed) worker count: the machine's cores, clamped to `2..=4` so
 /// the `off`/`on` twins measure the same contention level across CI boxes.
 pub fn base_threads() -> usize {
@@ -236,8 +220,8 @@ pub fn parse_json(text: &str) -> Vec<LatencyRow> {
         .filter(|l| l.contains("\"structure\""))
         .filter_map(|line| {
             Some(LatencyRow {
-                structure: structure_parse(field(line, "structure")?)?,
-                reclaimer: reclaimer_parse(field(line, "scheme")?)?,
+                structure: StructureKind::from_name(field(line, "structure")?)?,
+                reclaimer: ReclaimerKind::from_name(field(line, "scheme")?)?,
                 mode: Mode::parse(field(line, "mode")?)?,
                 threads: num(line, "threads")? as usize,
                 mops: field(line, "mops")?.parse().ok()?,
@@ -372,8 +356,8 @@ fn cells() -> Vec<(StructureKind, ReclaimerKind, Mode)> {
 fn run_child(cell: &str, duration_ms: u64) {
     let mut parts = cell.splitn(3, ':');
     let (s, r, m) = (
-        parts.next().and_then(structure_parse),
-        parts.next().and_then(reclaimer_parse),
+        parts.next().and_then(StructureKind::from_name),
+        parts.next().and_then(ReclaimerKind::from_name),
         parts.next().and_then(Mode::parse),
     );
     let (Some(structure), Some(reclaimer), Some(mode)) = (s, r, m) else {
@@ -529,8 +513,8 @@ mod tests {
         for (s, r, m) in &grid {
             let spec = format!("{}:{}:{}", s.name(), r.name(), m.name());
             let mut parts = spec.splitn(3, ':');
-            assert_eq!(parts.next().and_then(structure_parse), Some(*s));
-            assert_eq!(parts.next().and_then(reclaimer_parse), Some(*r));
+            assert_eq!(parts.next().and_then(StructureKind::from_name), Some(*s));
+            assert_eq!(parts.next().and_then(ReclaimerKind::from_name), Some(*r));
             assert_eq!(parts.next().and_then(Mode::parse), Some(*m));
         }
     }
